@@ -1,14 +1,14 @@
 // The distributed resource controller instantiated on each processing node
 // (paper §V, tier 2).
 //
-// Every control interval the hosting substrate (simulator or threaded
-// runtime) reports, for each local PE, what happened since the last tick —
-// occupancy, completions, CPU burned, arrivals, the freshest downstream
-// advertisement, and whether output is blocked — and the controller returns
-// the CPU share each PE may use next interval plus the r_max each PE
-// advertises upstream. The same object implements all three evaluated
-// policies so the substrates contain no policy logic beyond transport
-// semantics (drop vs block at full buffers).
+// Every control interval the PE kernel (sim/pe_kernel.h), on behalf of
+// whichever engine hosts the node, reports for each local PE what happened
+// since the last tick — occupancy, completions, CPU burned, arrivals, the
+// freshest downstream advertisement, and whether output is blocked — and
+// the controller returns the CPU share each PE may use next interval plus
+// the r_max each PE advertises upstream. The same object implements all
+// three evaluated policies so the substrates contain no policy logic
+// beyond transport semantics (drop vs block at full buffers).
 #pragma once
 
 #include <limits>

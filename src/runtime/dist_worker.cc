@@ -50,12 +50,14 @@
 #include "obs/trace.h"
 #include "opt/global_optimizer.h"
 #include "runtime/transport/uds.h"
+#include "sim/pe_kernel.h"
 #include "workload/arrivals.h"
-#include "workload/markov_modulator.h"
 
 namespace aces::runtime::dist {
 
 namespace {
+
+namespace kernel = sim::kernel;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Frozen advert_time for a node the coordinator declared dead: any
@@ -97,7 +99,7 @@ class WorkerEngine {
       : cfg_(cfg),
         ep_(ep),
         graph_(graph::topology_from_string(cfg.topology)),
-        collector_(cfg.warmup, count_egress(graph_)) {
+        collector_(cfg.warmup, kernel::count_egress(graph_)) {
     graph_.validate();
     ACES_CHECK_MSG(cfg.substeps > 0, "substeps must be positive");
     ACES_CHECK_MSG(cfg.dt > 0.0, "dt must be positive");
@@ -131,7 +133,10 @@ class WorkerEngine {
     const opt::AllocationPlan plan = plan_from_vectors(
         cfg.plan_cpu, cfg.plan_rin, cfg.plan_rout, node_count);
 
+    // Per-PE randomness forked by PE id, exactly as the other engines do —
+    // every stream, owned or not, so the partition cannot perturb them.
     Rng master(cfg.seed);
+    kernel::PeStreams streams = kernel::fork_pe_streams(graph_, master);
     pes_.resize(graph_.pe_count());
     visible_advert_.assign(graph_.pe_count(), kInf);
     visible_advert_time_.assign(graph_.pe_count(), 0.0);
@@ -143,11 +148,7 @@ class WorkerEngine {
       pe.capacity = cfg.channel_capacity > 0
                         ? cfg.channel_capacity
                         : static_cast<std::size_t>(d.buffer_capacity);
-      // Per-PE randomness forked by PE id, exactly as the threaded engine
-      // does — the partition cannot perturb the streams.
-      pe.service.emplace(d.service_time[0], d.service_time[1],
-                         d.sojourn_mean[0], d.sojourn_mean[1],
-                         master.fork(0x5E41 + id.value()));
+      pe.service.emplace(std::move(streams.service[id.value()]));
       if (d.kind == graph::PeKind::kEgress) pe.egress_index = egress_counter++;
       pe.share = plan.at(id).cpu;
     }
@@ -158,14 +159,20 @@ class WorkerEngine {
     }
     was_down_.assign(node_end_ - node_begin_, false);
     was_stalled_.assign(graph_.pe_count(), false);
+    tick_env_.graph = &graph_;
+    tick_env_.dt = cfg.dt;
+    tick_env_.injector = injector_.get();
+    if (cfg.record_trace != 0) tick_env_.trace = &trace_;
 
     // Telemetry. The counters are always on (relaxed atomics, far off the
-    // hot path at quantum granularity) and every name counts a *graph*
-    // property — cross_node is decided by node placement, never by the
-    // partition — so the coordinator's cross-shard sums match a
-    // single-process run exactly. The span tracer is optional and samples
-    // by (seed, source PE, acceptance counter), the same pure function the
-    // other substrates use, so traced runs stay bit-identical.
+    // hot path at quantum granularity; dist.sdo.arrived/processed/emitted/
+    // dropped are brought up to the per-PE lifetime accounting at each
+    // MetricsReport) and every name counts a *graph* property — cross_node
+    // is decided by node placement, never by the partition — so the
+    // coordinator's cross-shard sums match a single-process run exactly.
+    // The span tracer is optional and samples by (seed, source PE,
+    // acceptance counter), the same pure function the other substrates
+    // use, so traced runs stay bit-identical.
     ctr_arrived_ = counters_.counter("dist.sdo.arrived");
     ctr_processed_ = counters_.counter("dist.sdo.processed");
     ctr_emitted_ = counters_.counter("dist.sdo.emitted");
@@ -181,18 +188,11 @@ class WorkerEngine {
     }
 
     const Seconds start_vtime = static_cast<double>(cfg.start_quantum) * q_;
-    for (PeId id : graph_.all_pes()) {
-      const auto& d = graph_.pe(id);
-      if (d.kind != graph::PeKind::kIngress) continue;
-      // fork() advances the parent state, so every worker must fork every
-      // ingress PE's stream in the same order — including the ones it does
-      // not own — or the partition would perturb the arrival sequences.
-      Rng stream_rng = master.fork(0xA11 + id.value());
-      if (!owns_node(d.node.value())) continue;
+    for (auto& [id, rng] : streams.ingress) {
+      if (!owns_node(graph_.pe(id).node.value())) continue;
       Source src;
       src.pe = id.value();
-      src.process = workload::make_arrival_process(
-          graph_.stream(d.input_stream), std::move(stream_rng));
+      src.process = kernel::make_source({}, graph_, id, std::move(rng));
       src.next_arrival = src.process->next_interarrival();
       // A worker joining mid-run (restart after a prockill) fast-forwards
       // its arrival streams: the SDOs that would have arrived while the
@@ -224,7 +224,7 @@ class WorkerEngine {
   }
 
  private:
-  struct PeState {
+  struct PeState : kernel::PeCore<Sdo> {
     std::deque<Sdo> queue;
     std::size_t capacity = 0;
     /// Lock-Step cross-node backlog: deliveries accepted from the wire but
@@ -234,27 +234,17 @@ class WorkerEngine {
     /// Lock-Step same-node backlog held while a local consumer is full.
     std::deque<std::pair<std::size_t, Sdo>> pending;
     std::optional<workload::ServiceModel> service;
-    std::size_t egress_index = static_cast<std::size_t>(-1);
-    double share = 0.0;
-    bool busy = false;
-    Sdo current{};
-    double work_remaining = 0.0;
-    double used_this_tick = 0.0;
-    double processed_this_tick = 0.0;
-    double arrived_this_tick = 0.0;
-    double selectivity_credit = 0.0;
-    /// Local blocking: `pending` could not flush into a same-node consumer.
-    bool blocked_local = false;
+    // The core's `blocked` is local blocking: `pending` could not flush
+    // into a same-node consumer.
     /// Remote blocking: some cross-node downstream was congested at the
     /// last barrier.
     bool blocked_remote = false;
     std::uint64_t lifetime_arrived = 0;
-    std::uint64_t lifetime_processed = 0;
-    std::uint64_t lifetime_emitted = 0;
     std::uint64_t lifetime_dropped = 0;
-    double lifetime_cpu = 0.0;
 
-    [[nodiscard]] bool blocked() const { return blocked_local || blocked_remote; }
+    [[nodiscard]] bool output_blocked() const {
+      return blocked || blocked_remote;
+    }
   };
 
   struct Source {
@@ -263,21 +253,8 @@ class WorkerEngine {
     Seconds next_arrival = 0.0;
   };
 
-  static std::size_t count_egress(const graph::ProcessingGraph& g) {
-    std::size_t count = 0;
-    for (PeId id : g.all_pes()) count += g.pe(id).kind == graph::PeKind::kEgress;
-    return count;
-  }
-
   [[nodiscard]] bool owns_node(std::size_t node) const {
     return node >= node_begin_ && node < node_end_;
-  }
-
-  [[nodiscard]] bool fault_drops_delivery(std::size_t target, Seconds when) {
-    if (injector_ == nullptr) return false;
-    const PeId id(static_cast<PeId::value_type>(target));
-    return injector_->node_down(graph_.pe(id).node, when) ||
-           injector_->drop_delivery(id, when);
   }
 
   int loop() {
@@ -437,9 +414,9 @@ class WorkerEngine {
       return;
     }
     PeState& pe = pes_[d.dest_pe];
-    if (fault_drops_delivery(d.dest_pe, vnow)) {
+    if (kernel::fault_drops_delivery(injector_.get(), graph_, PeId(d.dest_pe),
+                                     vnow)) {
       ++pe.lifetime_dropped;
-      ctr_dropped_.inc();
       if (tracer_ != nullptr) tracer_->drop(span, vnow);
       collector_.on_internal_drop(vnow);
       return;
@@ -455,12 +432,10 @@ class WorkerEngine {
     if (pe.queue.size() < pe.capacity) {
       if (tracer_ != nullptr) tracer_->on_enqueue(span, PeId(d.dest_pe), vnow);
       pe.queue.push_back(Sdo{d.birth, vnow, span});
-      pe.arrived_this_tick += 1.0;
+      pe.arrived += 1.0;
       ++pe.lifetime_arrived;
-      ctr_arrived_.inc();
     } else {
       ++pe.lifetime_dropped;
-      ctr_dropped_.inc();
       if (tracer_ != nullptr) tracer_->drop(span, vnow);
       collector_.on_internal_drop(vnow);
     }
@@ -470,9 +445,8 @@ class WorkerEngine {
     while (!pe.inbound.empty() && pe.queue.size() < pe.capacity) {
       pe.queue.push_back(pe.inbound.front());
       pe.inbound.pop_front();
-      pe.arrived_this_tick += 1.0;
+      pe.arrived += 1.0;
       ++pe.lifetime_arrived;
-      ctr_arrived_.inc();
     }
   }
 
@@ -490,7 +464,7 @@ class WorkerEngine {
           PeState& pe = pes_[id.value()];
           pe.queue.clear();
           pe.inbound.clear();
-          pe.arrived_this_tick = 0.0;
+          pe.arrived = 0.0;
         }
         injector_->note_node_restart();
         restored_this_quantum_.push_back(node.value());
@@ -510,29 +484,11 @@ class WorkerEngine {
     std::uint64_t lost = 0;
     for (PeId id : graph_.pes_on_node(node)) {
       PeState& pe = pes_[id.value()];
-      std::uint64_t pe_lost = pe.busy ? 1 : 0;
-      pe_lost += pe.pending.size();
-      pe_lost += pe.inbound.size();
-      pe_lost += pe.queue.size();
-      if (tracer_ != nullptr) {
-        if (pe.busy) tracer_->drop(pe.current.span, vnow);
-        for (const auto& [slot, sdo] : pe.pending)
-          tracer_->drop(sdo.span, vnow);
-        for (const Sdo& sdo : pe.inbound) tracer_->drop(sdo.span, vnow);
-        for (const Sdo& sdo : pe.queue) tracer_->drop(sdo.span, vnow);
-      }
-      pe.queue.clear();
-      pe.inbound.clear();
-      pe.pending.clear();
-      pe.busy = false;
-      pe.blocked_local = false;
+      const std::uint64_t pe_lost =
+          kernel::crash_pe(pe, collector_, tracer_.get(), vnow, pe.pending,
+                           pe.inbound, pe.queue);
       pe.blocked_remote = false;
-      pe.work_remaining = 0.0;
-      pe.share = 0.0;
       pe.lifetime_dropped += pe_lost;
-      ctr_dropped_.inc(pe_lost);
-      for (std::uint64_t j = 0; j < pe_lost; ++j)
-        collector_.on_internal_drop(vnow);
       lost += pe_lost;
     }
     injector_->note_node_crash(lost);
@@ -541,87 +497,31 @@ class WorkerEngine {
   void node_tick(std::size_t controller_index, Seconds vnow) {
     control::NodeController& controller = controllers_[controller_index];
     const auto& local = controller.local_pes();
-    std::vector<control::PeTickInput> inputs(local.size());
-    const Seconds staleness = controller_config_.advert_staleness_timeout;
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      PeState& pe = pes_[local[i].value()];
-      control::PeTickInput& in = inputs[i];
-      in.buffer_occupancy =
-          static_cast<double>(pe.queue.size() + pe.inbound.size());
-      in.processed_sdos = pe.processed_this_tick;
-      in.cpu_seconds_used = pe.used_this_tick;
-      in.arrived_sdos = pe.arrived_this_tick;
-      in.output_blocked = pe.blocked();
-      const auto& downs = graph_.downstream(local[i]);
-      if (downs.empty()) {
-        in.downstream_rmax = kInf;
-      } else {
-        in.downstream_rmax = -kInf;
-        Seconds freshest = -kInf;
-        for (PeId down : downs) {
-          const Seconds refreshed = visible_advert_time_[down.value()];
-          const bool stale = staleness > 0.0 && vnow - refreshed > staleness;
-          in.downstream_rmax = std::max(
-              in.downstream_rmax, stale ? 0.0 : visible_advert_[down.value()]);
-          freshest = std::max(freshest, refreshed);
-        }
-        in.downstream_advert_age = vnow - freshest;
-      }
-    }
-    const std::vector<control::PeTickOutput> outputs =
-        controller.tick(cfg_.dt, inputs);
+    kernel::node_tick(
+        controller, vnow, tick_env_, collector_,
+        [&](std::size_t i) {
+          PeState& pe = pes_[local[i].value()];
+          return kernel::PeView<Sdo>{
+              pe, static_cast<double>(pe.queue.size() + pe.inbound.size()),
+              static_cast<double>(pe.capacity), pe.output_blocked(),
+              pe.lifetime_dropped};
+        },
+        [&](std::size_t i, std::size_t slot) {
+          const std::size_t down = graph_.downstream(local[i])[slot].value();
+          return kernel::Advert{visible_advert_[down],
+                                visible_advert_time_[down]};
+        },
+        [&](std::size_t i, const control::PeTickOutput& out) {
+          pes_[local[i].value()].share = out.cpu_share;
+          // Injected advertisement loss: the refresh never leaves this
+          // worker, so every peer (and this worker itself, via the
+          // loopback) keeps the stale value.
+          if (injector_ != nullptr && injector_->advert_lost(local[i], vnow))
+            return;
+          advert_outbox_.push_back(
+              wire::Advert{local[i].value(), out.advertised_rmax, vnow});
+        });
     ++events_executed_;
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      PeState& pe = pes_[local[i].value()];
-      if (cfg_.record_trace != 0) {
-        // Same record the other substrates emit; the shard tag is stamped
-        // coordinator-side from the frame's rank.
-        obs::TickRecord rec;
-        rec.time = vnow;
-        rec.node = controller.node().value();
-        rec.pe = local[i].value();
-        rec.buffer_occupancy = inputs[i].buffer_occupancy;
-        rec.arrived_sdos = inputs[i].arrived_sdos;
-        rec.processed_sdos = inputs[i].processed_sdos;
-        rec.cpu_share = outputs[i].cpu_share;
-        rec.cpu_seconds_used = inputs[i].cpu_seconds_used;
-        rec.advertised_rmax = outputs[i].advertised_rmax;
-        rec.downstream_rmax = inputs[i].downstream_rmax;
-        rec.token_fill = controller.tokens(i);
-        rec.output_blocked = inputs[i].output_blocked;
-        rec.dropped_total = pe.lifetime_dropped;
-        if (injector_ != nullptr && injector_->pe_stalled(local[i], vnow)) {
-          rec.fault_flags |= obs::kFaultPeStalled;
-        }
-        if (controller_config_.advert_staleness_timeout > 0.0 &&
-            !graph_.downstream(local[i]).empty() &&
-            inputs[i].downstream_advert_age >
-                controller_config_.advert_staleness_timeout) {
-          rec.fault_flags |= obs::kFaultAdvertStale;
-        }
-        trace_buffer_.push_back(std::move(rec));
-      }
-      collector_.on_cpu_used(vnow, pe.used_this_tick);
-      collector_.on_buffer_sample(
-          vnow,
-          std::min(1.0, static_cast<double>(pe.queue.size() +
-                                            pe.inbound.size()) /
-                            static_cast<double>(pe.capacity)));
-      pe.used_this_tick = 0.0;
-      pe.processed_this_tick = 0.0;
-      pe.arrived_this_tick = 0.0;
-      pe.share = outputs[i].cpu_share;
-      // Injected advertisement loss: the refresh never leaves this worker,
-      // so every peer (and this worker itself, via the loopback) keeps the
-      // stale value.
-      if (injector_ != nullptr && injector_->advert_lost(local[i], vnow))
-        continue;
-      wire::Advert advert;
-      advert.pe = local[i].value();
-      advert.rmax = outputs[i].advertised_rmax;
-      advert.time = vnow;
-      advert_outbox_.push_back(advert);
-    }
   }
 
   void generate_arrivals(Seconds vnow, Seconds vend) {
@@ -635,9 +535,9 @@ class WorkerEngine {
         // or not — so the acceptance counters match the other substrates.
         std::int32_t span = -1;
         if (tracer_ != nullptr) span = tracer_->begin(pe_id, at);
-        if (fault_drops_delivery(src.pe, vnow)) {
+        if (kernel::fault_drops_delivery(injector_.get(), graph_, pe_id,
+                                         vnow)) {
           ++pe.lifetime_dropped;
-          ctr_dropped_.inc();
           if (tracer_ != nullptr) tracer_->drop(span, at);
           collector_.on_ingress_drop(at);
           continue;
@@ -645,12 +545,10 @@ class WorkerEngine {
         if (pe.queue.size() < pe.capacity) {
           if (tracer_ != nullptr) tracer_->on_enqueue(span, pe_id, at);
           pe.queue.push_back(Sdo{at, at, span});
-          pe.arrived_this_tick += 1.0;
+          pe.arrived += 1.0;
           ++pe.lifetime_arrived;
-          ctr_arrived_.inc();
         } else {
           ++pe.lifetime_dropped;
-          ctr_dropped_.inc();
           if (tracer_ != nullptr) tracer_->drop(span, at);
           collector_.on_ingress_drop(at);
         }
@@ -679,83 +577,40 @@ class WorkerEngine {
           was_stalled_[id.value()] = stalled;
           if (stalled) continue;
         }
-        if (pe.blocked_local) {
+        if (pe.blocked) {
           try_flush(pe, id, vnow);
         }
-        if (pe.blocked()) continue;
-        if (pe.share <= 0.0) continue;
-        double allowed = pe.share * elapsed_in_tick - pe.used_this_tick;
-        while (allowed > 0.0 && !pe.blocked_local) {
-          if (!pe.busy) {
-            if (pe.queue.empty()) break;
-            pe.current = pe.queue.front();
-            pe.queue.pop_front();
-            pe.busy = true;
-            pe.work_remaining = pe.service->cost_at(vnow);
-            if (tracer_ != nullptr) {
-              // max() because a same-quantum enqueue may postdate the
-              // quantum-start stamp; both operands sit on the quantum
-              // grid, so the stamp stays partition-invariant.
-              tracer_->on_dequeue(pe.current.span,
-                                  std::max(vnow, pe.current.enqueue));
-            }
-          }
-          const double spend = std::min(allowed, pe.work_remaining);
-          pe.work_remaining -= spend;
-          pe.used_this_tick += spend;
-          pe.lifetime_cpu += spend;
-          allowed -= spend;
-          if (pe.work_remaining <= 1e-12) complete(pe, id, vend);
-        }
-      }
-    }
-  }
-
-  /// Finish the SDO the PE just paid for (mirrors the threaded engine's
-  /// complete(): selectivity credit, egress accounting, downstream copies).
-  void complete(PeState& pe, PeId pe_id, Seconds vcomplete) {
-    pe.busy = false;
-    pe.processed_this_tick += 1.0;
-    ++pe.lifetime_processed;
-    ++events_executed_;
-    ctr_processed_.inc();
-    collector_.on_processed(vcomplete, 1);
-    const auto& d = graph_.pe(pe_id);
-    pe.selectivity_credit += d.selectivity;
-    const int outputs = static_cast<int>(std::floor(pe.selectivity_credit));
-    pe.selectivity_credit -= outputs;
-    if (tracer_ != nullptr) tracer_->on_emit(pe.current.span, vcomplete);
-    if (d.kind == graph::PeKind::kEgress) {
-      pe.lifetime_emitted += static_cast<std::uint64_t>(outputs);
-      ctr_emitted_.inc(static_cast<std::uint64_t>(outputs));
-      for (int j = 0; j < outputs; ++j) {
-        collector_.on_egress_output(vcomplete, pe.egress_index, d.weight,
-                                    vcomplete - pe.current.birth);
-      }
-      if (tracer_ != nullptr) tracer_->complete(pe.current.span, vcomplete);
-      return;
-    }
-    if (outputs == 0) {
-      // Selectivity absorbed the SDO: a normal end of life, not a drop.
-      if (tracer_ != nullptr) tracer_->complete(pe.current.span, vcomplete);
-      return;
-    }
-    const auto& downs = graph_.downstream(pe_id);
-    // The span continues into the first downstream copy only, keeping the
-    // trace a single root-to-sink path (spans.h header contract).
-    std::int32_t span = pe.current.span;
-    for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-      for (int j = 0; j < outputs; ++j) {
-        send(pe, pe_id, slot, Sdo{pe.current.birth, vcomplete, span},
-             vcomplete);
-        span = -1;
+        if (pe.output_blocked()) continue;
+        kernel::serve(
+            pe, pe.share * elapsed_in_tick - pe.cpu_used,
+            [&] {
+              if (pe.queue.empty()) return false;
+              pe.current = pe.queue.front();
+              pe.queue.pop_front();
+              pe.busy = true;
+              pe.work_remaining = pe.service->cost_at(vnow);
+              if (tracer_ != nullptr) {
+                // max() because a same-quantum enqueue may postdate the
+                // quantum-start stamp; both operands sit on the quantum
+                // grid, so the stamp stays partition-invariant.
+                tracer_->on_dequeue(pe.current.span,
+                                    std::max(vnow, pe.current.enqueue));
+              }
+              return true;
+            },
+            [&] {
+              // Completions are stamped at the quantum end.
+              kernel::complete(pe, graph_, id, collector_, tracer_.get(), vend,
+                               [&](std::size_t slot, Sdo sdo) {
+                                 send(pe, id, slot, sdo, vend);
+                               });
+              ++events_executed_;
+            });
       }
     }
   }
 
   void send(PeState& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
-    ++pe.lifetime_emitted;
-    ctr_emitted_.inc();
     const PeId target_id = graph_.downstream(pe_id)[slot];
     const std::size_t target = target_id.value();
     const bool cross_node = graph_.pe(target_id).node != graph_.pe(pe_id).node;
@@ -790,9 +645,9 @@ class WorkerEngine {
       return;
     }
     PeState& t = pes_[target];
-    if (fault_drops_delivery(target, vnow)) {
+    if (kernel::fault_drops_delivery(injector_.get(), graph_, target_id,
+                                     vnow)) {
       ++t.lifetime_dropped;
-      ctr_dropped_.inc();
       if (tracer_ != nullptr) tracer_->drop(sdo.span, vnow);
       collector_.on_internal_drop(vnow);
       return;  // lost, not blocked
@@ -802,13 +657,12 @@ class WorkerEngine {
         sdo.enqueue = vnow;
         if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, target_id, vnow);
         t.queue.push_back(sdo);
-        t.arrived_this_tick += 1.0;
+        t.arrived += 1.0;
         ++t.lifetime_arrived;
-        ctr_arrived_.inc();
       } else {
         // Producer-side hold: the span's enqueue hop waits for the flush.
         pe.pending.push_back({slot, sdo});
-        pe.blocked_local = true;
+        pe.blocked = true;
       }
       return;
     }
@@ -816,12 +670,10 @@ class WorkerEngine {
       sdo.enqueue = vnow;
       if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, target_id, vnow);
       t.queue.push_back(sdo);
-      t.arrived_this_tick += 1.0;
+      t.arrived += 1.0;
       ++t.lifetime_arrived;
-      ctr_arrived_.inc();
     } else {
       ++t.lifetime_dropped;
-      ctr_dropped_.inc();
       if (tracer_ != nullptr) tracer_->drop(sdo.span, vnow);
       collector_.on_internal_drop(vnow);
     }
@@ -833,9 +685,9 @@ class WorkerEngine {
       const PeId target_id = graph_.downstream(pe_id)[slot];
       const std::size_t target = target_id.value();
       PeState& t = pes_[target];
-      if (fault_drops_delivery(target, vnow)) {
+      if (kernel::fault_drops_delivery(injector_.get(), graph_, target_id,
+                                       vnow)) {
         ++t.lifetime_dropped;
-        ctr_dropped_.inc();
         if (tracer_ != nullptr) tracer_->drop(sdo.span, vnow);
         collector_.on_internal_drop(vnow);
         pe.pending.pop_front();
@@ -845,12 +697,11 @@ class WorkerEngine {
       sdo.enqueue = vnow;
       if (tracer_ != nullptr) tracer_->on_enqueue(sdo.span, target_id, vnow);
       t.queue.push_back(sdo);
-      t.arrived_this_tick += 1.0;
+      t.arrived += 1.0;
       ++t.lifetime_arrived;
-      ctr_arrived_.inc();
       pe.pending.pop_front();
     }
-    pe.blocked_local = false;
+    pe.blocked = false;
   }
 
   // ---- frames back to the coordinator --------------------------------
@@ -978,6 +829,7 @@ class WorkerEngine {
     wire::MetricsReport mr;
     mr.rank = cfg_.rank;
     mr.quantum = quantum;
+    sync_sdo_counters();
     const obs::CounterSnapshot snap = counters_.snapshot();
     for (const auto& [name, value] : snap.counters) {
       // Deltas, not absolutes: the coordinator's sum stays exact across
@@ -1007,9 +859,28 @@ class WorkerEngine {
     for (const obs::PerfStageSample& s : obs::perf_snapshot().stages) {
       mr.perf.push_back({s.name, s.calls, s.ns});
     }
-    mr.trace = std::move(trace_buffer_);
-    trace_buffer_.clear();
+    mr.trace = trace_.snapshot();
+    trace_.clear();
     return mr;
+  }
+
+  /// Advances dist.sdo.{arrived,processed,emitted,dropped} to the sums of
+  /// the per-PE lifetime accounting (only this worker's PEs ever count).
+  void sync_sdo_counters() {
+    std::uint64_t arrived = 0;
+    std::uint64_t processed = 0;
+    std::uint64_t emitted = 0;
+    std::uint64_t dropped = 0;
+    for (const PeState& pe : pes_) {
+      arrived += pe.lifetime_arrived;
+      processed += pe.lifetime_processed;
+      emitted += pe.lifetime_emitted;
+      dropped += pe.lifetime_dropped;
+    }
+    ctr_arrived_.inc(arrived - ctr_arrived_.value());
+    ctr_processed_.inc(processed - ctr_processed_.value());
+    ctr_emitted_.inc(emitted - ctr_emitted_.value());
+    ctr_dropped_.inc(dropped - ctr_dropped_.value());
   }
 
   wire::Config cfg_;
@@ -1026,6 +897,7 @@ class WorkerEngine {
   std::vector<control::NodeController> controllers_;
   std::vector<Source> sources_;
   std::unique_ptr<fault::FaultInjector> injector_;
+  kernel::TickEnv tick_env_;
   std::vector<double> visible_advert_;
   std::vector<Seconds> visible_advert_time_;
   std::vector<std::uint8_t> congested_;
@@ -1059,7 +931,7 @@ class WorkerEngine {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t>
       delivery_counts_;
   /// Control-tick records since the last MetricsReport (record_trace only).
-  std::vector<obs::TickRecord> trace_buffer_;
+  obs::ControlTraceRecorder trace_;
   /// Counter values as of the last MetricsReport, for delta encoding.
   std::map<std::string, std::uint64_t> last_sent_counters_;
   /// A fault dump was taken this quantum and awaits shipping.

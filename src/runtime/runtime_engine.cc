@@ -19,18 +19,18 @@
 #include "fault/fault_injector.h"
 #include "metrics/collector.h"
 #include "obs/counters.h"
-#include "obs/scoped_timer.h"
 #include "obs/spans.h"
-#include "obs/trace.h"
 #include "runtime/message_bus.h"
 #include "runtime/sdo_channel.h"
 #include "runtime/thread_pin.h"
+#include "sim/pe_kernel.h"
 #include "workload/arrivals.h"
-#include "workload/markov_modulator.h"
 
 namespace aces::runtime {
 
 namespace {
+
+namespace kernel = sim::kernel;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -40,34 +40,35 @@ struct Sdo {
   std::int32_t span = -1;
 };
 
-/// Thread-safe metrics front end (the node and source threads all report).
+/// Thread-safe metrics front end (the node and source threads all report),
+/// with metrics::Collector's method names so the PE kernel drives either.
 class SharedCollector {
  public:
   SharedCollector(Seconds measure_from, std::size_t egress_count)
       : collector_(measure_from, egress_count) {}
 
-  void egress_output(Seconds now, std::size_t index, double weight,
-                     Seconds latency) ACES_EXCLUDES(mutex_) {
+  void on_egress_output(Seconds now, std::size_t index, double weight,
+                        Seconds latency) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_egress_output(now, index, weight, latency);
   }
-  void internal_drop(Seconds now) ACES_EXCLUDES(mutex_) {
+  void on_internal_drop(Seconds now) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_internal_drop(now);
   }
-  void ingress_drop(Seconds now) ACES_EXCLUDES(mutex_) {
+  void on_ingress_drop(Seconds now) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_ingress_drop(now);
   }
-  void processed(Seconds now, std::uint64_t count) ACES_EXCLUDES(mutex_) {
+  void on_processed(Seconds now, std::uint64_t count) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_processed(now, count);
   }
-  void cpu_used(Seconds now, double cpu_seconds) ACES_EXCLUDES(mutex_) {
+  void on_cpu_used(Seconds now, double cpu_seconds) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_cpu_used(now, cpu_seconds);
   }
-  void buffer_sample(Seconds now, double fill) ACES_EXCLUDES(mutex_) {
+  void on_buffer_sample(Seconds now, double fill) ACES_EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     collector_.on_buffer_sample(now, fill);
   }
@@ -82,8 +83,9 @@ class SharedCollector {
   metrics::Collector collector_ ACES_GUARDED_BY(mutex_);
 };
 
-/// Everything the worker threads share about one PE.
-struct PeRt {
+/// Everything the worker threads share about one PE. The kernel's core
+/// (kernel::PeCore) is owned exclusively by the hosting node thread.
+struct PeRt : kernel::PeCore<Sdo> {
   PeRt(std::size_t capacity, bool single_producer,
        workload::ServiceModel service, std::size_t batch,
        std::size_t pending_bound)
@@ -106,18 +108,9 @@ struct PeRt {
   Atomic<Seconds> advert_time{0.0};
 
   workload::ServiceModel service;
-  std::size_t egress_index = static_cast<std::size_t>(-1);
 
   // ---- state owned exclusively by the hosting node thread ----
-  double share = 0.0;
-  bool busy = false;
-  Sdo current{};
-  double work_remaining = 0.0;
-  double used_this_tick = 0.0;
-  double processed_this_tick = 0.0;
   std::uint64_t pushed_at_last_tick = 0;
-  double selectivity_credit = 0.0;
-  bool blocked = false;
   /// Burst-drain staging: SDOs already popped from `input` but not yet in
   /// service. fetched[fetched_head, fetched_count) are live. Counted into
   /// buffer occupancy, drained as lost on crash — logically these are
@@ -126,6 +119,13 @@ struct PeRt {
   std::size_t fetched_head = 0;
   std::size_t fetched_count = 0;
   [[nodiscard]] std::size_t staged() const { return fetched_count - fetched_head; }
+  /// Hands every staged SDO to `f` and empties the staging buffer.
+  template <class F>
+  void drain_staged(F& f) {
+    for (std::size_t i = fetched_head; i < fetched_count; ++i) f(fetched[i]);
+    fetched_head = 0;
+    fetched_count = 0;
+  }
 
   /// (downstream slot, sdo) held while Lock-Step blocks on a full
   /// consumer. Bounded by construction: one complete() appends at most
@@ -133,13 +133,10 @@ struct PeRt {
   /// pool never reallocates (see the sizing note in the Engine ctor).
   BoundedQueue<std::pair<std::size_t, Sdo>> pending;
 
-  // Lifetime accounting. `dropped` is touched by node, bus, and source
-  // threads; the rest belong to the hosting node thread and are read only
-  // after the worker threads join.
+  /// Lifetime drops, touched by node, bus, and source threads. The core's
+  /// lifetime counters belong to the hosting node thread and are read only
+  /// after the worker threads join.
   Atomic<std::uint64_t> dropped{0};
-  std::uint64_t lifetime_processed = 0;
-  std::uint64_t lifetime_emitted = 0;
-  double lifetime_cpu = 0.0;
 };
 
 class Engine {
@@ -149,7 +146,7 @@ class Engine {
       : graph_(g),
         options_(options),
         policy_(options.controller.policy),
-        collector_(options.warmup, count_egress(g)) {
+        collector_(options.warmup, kernel::count_egress(g)) {
     ACES_CHECK_MSG(options.duration > options.warmup,
                    "duration must exceed warmup");
     ACES_CHECK_MSG(options.dt > 0.0, "dt must be positive");
@@ -168,6 +165,7 @@ class Engine {
     const bool bus_active = options.network_latency > 0.0 &&
                             policy_ != control::FlowPolicy::kLockStep;
 
+    kernel::PeStreams streams = kernel::fork_pe_streams(g, master);
     pes_.reserve(g.pe_count());
     std::size_t egress_counter = 0;
     for (PeId id : g.all_pes()) {
@@ -185,10 +183,8 @@ class Engine {
           std::max<std::size_t>(std::size_t{1}, g.downstream(id).size());
       auto pe = std::make_unique<PeRt>(
           capacity, channel_producer_count(g, id, bus_active) <= 1,
-          workload::ServiceModel(d.service_time[0], d.service_time[1],
-                                 d.sojourn_mean[0], d.sojourn_mean[1],
-                                 master.fork(0x5E41 + id.value())),
-          options.batch, pending_bound);
+          std::move(streams.service[id.value()]), options.batch,
+          pending_bound);
       pe->share = plan.at(id).cpu;
       if (d.kind == graph::PeKind::kEgress)
         pe->egress_index = egress_counter++;
@@ -199,21 +195,12 @@ class Engine {
     for (NodeId n : g.all_nodes())
       controllers_.emplace_back(g, n, plan, options.controller);
 
-    for (PeId id : g.all_pes()) {
-      const auto& d = g.pe(id);
-      if (d.kind != graph::PeKind::kIngress) continue;
-      Rng stream_rng = master.fork(0xA11 + id.value());
-      auto process =
-          options.arrival_factory
-              ? options.arrival_factory(d.input_stream,
-                                        g.stream(d.input_stream),
-                                        std::move(stream_rng))
-              : workload::make_arrival_process(g.stream(d.input_stream),
-                                               std::move(stream_rng));
-      ACES_CHECK_MSG(process != nullptr,
-                     "arrival factory returned null for stream "
-                         << d.input_stream);
-      sources_.push_back(Source{id.value(), std::move(process), 0.0});
+    sources_.reserve(streams.ingress.size());
+    for (auto& [id, rng] : streams.ingress) {
+      sources_.push_back(Source{
+          id.value(),
+          kernel::make_source(options.arrival_factory, g, id, std::move(rng)),
+          0.0});
     }
 
     // Data-plane event counters; disabled (null) handles when no registry
@@ -233,6 +220,11 @@ class Engine {
       injector_ = std::make_unique<fault::FaultInjector>(
           options.faults, options.seed, g.pe_count(), options.counters);
     }
+    tick_env_.graph = &g;
+    tick_env_.dt = options.dt;
+    tick_env_.injector = injector_.get();
+    tick_env_.trace = options.trace;
+    tick_env_.profiler = options.profiler;
   }
 
   metrics::RunReport run() {
@@ -279,13 +271,6 @@ class Engine {
     Seconds next_arrival;
   };
 
-  static std::size_t count_egress(const graph::ProcessingGraph& g) {
-    std::size_t count = 0;
-    for (PeId id : g.all_pes())
-      count += g.pe(id).kind == graph::PeKind::kEgress;
-    return count;
-  }
-
   /// Distinct threads that ever push into PE `id`'s input channel:
   /// the hosting node thread of each upstream PE — except that when the
   /// bus is active, a cross-node upstream's push happens on the bus
@@ -325,30 +310,20 @@ class Engine {
         std::clamp(virtual_seconds / options_.time_scale, 0.0, 0.01)));
   }
 
-  /// Injected loss on a delivery into PE `target`: its hosting node is down
-  /// or a drop burst eats it.
-  [[nodiscard]] bool fault_drops_delivery(std::size_t target, Seconds when) {
-    if (injector_ == nullptr) return false;
-    const PeId id(static_cast<PeId::value_type>(target));
-    return injector_->node_down(graph_.pe(id).node, when) ||
-           injector_->drop_delivery(id, when);
-  }
-
   /// Delivery leg shared by direct and bus-delayed sends: push or drop.
-  void deliver(std::size_t target, Sdo sdo, Seconds when) {
-    PeRt& t = *pes_[target];
-    if (fault_drops_delivery(target, when)) {
+  void deliver(PeId target, Sdo sdo, Seconds when) {
+    PeRt& t = *pes_[target.value()];
+    if (kernel::fault_drops_delivery(injector_.get(), graph_, target, when)) {
       t.dropped.fetch_add(1, std::memory_order_relaxed);
       channel_drop_.inc();
-      collector_.internal_drop(when);
+      collector_.on_internal_drop(when);
       if (options_.spans != nullptr) options_.spans->drop(sdo.span, when);
       return;
     }
     // Enqueue hop recorded before the push: once the SDO is in the channel
     // the consuming thread owns its span.
     if (options_.spans != nullptr) {
-      options_.spans->on_enqueue(
-          sdo.span, PeId(static_cast<PeId::value_type>(target)), when);
+      options_.spans->on_enqueue(sdo.span, target, when);
     }
     if (t.input.try_push(sdo)) {
       t.pushed.fetch_add(1, std::memory_order_relaxed);
@@ -356,109 +331,64 @@ class Engine {
     } else {
       t.dropped.fetch_add(1, std::memory_order_relaxed);
       channel_drop_.inc();
-      collector_.internal_drop(when);
+      collector_.on_internal_drop(when);
       if (options_.spans != nullptr) options_.spans->drop(sdo.span, when);
     }
   }
 
-  /// Emits one SDO on `slot`; returns false when the PE must block
-  /// (Lock-Step with a full downstream buffer).
-  bool send(PeRt& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
-    ++pe.lifetime_emitted;
-    const std::size_t target = graph_.downstream(pe_id)[slot].value();
+  /// Emits one SDO on `slot`; under Lock-Step a full downstream buffer
+  /// holds it in `pending` and blocks the PE.
+  void send(PeRt& pe, PeId pe_id, std::size_t slot, Sdo sdo, Seconds vnow) {
+    const PeId target = graph_.downstream(pe_id)[slot];
     if (policy_ == control::FlowPolicy::kLockStep) {
-      PeRt& t = *pes_[target];
-      if (fault_drops_delivery(target, vnow)) {
+      PeRt& t = *pes_[target.value()];
+      if (kernel::fault_drops_delivery(injector_.get(), graph_, target,
+                                       vnow)) {
         t.dropped.fetch_add(1, std::memory_order_relaxed);
         channel_drop_.inc();
-        collector_.internal_drop(vnow);
+        collector_.on_internal_drop(vnow);
         if (options_.spans != nullptr) options_.spans->drop(sdo.span, vnow);
-        return true;  // lost, not blocked
+        return;  // lost, not blocked
       }
       if (options_.spans != nullptr) {
-        options_.spans->on_enqueue(
-            sdo.span, PeId(static_cast<PeId::value_type>(target)), vnow);
+        options_.spans->on_enqueue(sdo.span, target, vnow);
       }
       if (t.input.try_push(sdo)) {
         t.pushed.fetch_add(1, std::memory_order_relaxed);
         channel_send_.inc();
-        return true;
+        return;
       }
       // The push failed; the enqueue hop stays on the span and is simply
       // re-stamped when the pending entry eventually flushes.
       pe.pending.push_back({slot, sdo});
       pe.blocked = true;
       channel_block_.inc();
-      return false;
+      return;
     }
     // Drop policies: cross-node SDOs optionally travel through the message
     // bus with injected latency.
-    const bool cross_node =
-        graph_.pe(pe_id).node != graph_.pe(graph_.downstream(pe_id)[slot]).node;
+    const bool cross_node = graph_.pe(pe_id).node != graph_.pe(target).node;
     if (bus_ != nullptr && cross_node) {
       bus_post_.inc();
       bus_->post(vnow + options_.network_latency, [this, target, sdo] {
         bus_deliver_.inc();
         deliver(target, sdo, virtual_now());
       });
-      return true;
+      return;
     }
     deliver(target, sdo, vnow);
-    return true;
-  }
-
-  /// Finish the SDO the PE just paid for: realize selectivity, emit copies.
-  void complete(PeRt& pe, PeId pe_id, Seconds vnow) {
-    pe.busy = false;
-    pe.processed_this_tick += 1.0;
-    ++pe.lifetime_processed;
-    collector_.processed(vnow, 1);
-    const auto& d = graph_.pe(pe_id);
-    pe.selectivity_credit += d.selectivity;
-    const int outputs = static_cast<int>(std::floor(pe.selectivity_credit));
-    pe.selectivity_credit -= outputs;
-    if (options_.spans != nullptr) {
-      options_.spans->on_emit(pe.current.span, vnow);
-    }
-    if (d.kind == graph::PeKind::kEgress) {
-      pe.lifetime_emitted += static_cast<std::uint64_t>(outputs);
-      for (int k = 0; k < outputs; ++k) {
-        collector_.egress_output(vnow, pe.egress_index, d.weight,
-                                 vnow - pe.current.birth);
-      }
-      if (options_.spans != nullptr) {
-        options_.spans->complete(pe.current.span, vnow);
-      }
-      return;
-    }
-    const auto& downs = graph_.downstream(pe_id);
-    if (outputs == 0) {
-      // Selectivity absorbed the SDO: its trace ends here, complete.
-      if (options_.spans != nullptr) {
-        options_.spans->complete(pe.current.span, vnow);
-      }
-      return;
-    }
-    // The span continues into the first downstream copy only (one
-    // root-to-sink path per trace, same rule as the simulator).
-    std::int32_t span = pe.current.span;
-    for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-      for (int k = 0; k < outputs; ++k) {
-        send(pe, pe_id, slot, Sdo{pe.current.birth, span}, vnow);
-        span = -1;
-      }
-    }
   }
 
   void try_flush(PeRt& pe, PeId pe_id) {
     while (!pe.pending.empty()) {
       const auto [slot, sdo] = pe.pending.front();
-      const std::size_t target = graph_.downstream(pe_id)[slot].value();
-      PeRt& t = *pes_[target];
-      if (fault_drops_delivery(target, virtual_now())) {
+      const PeId target = graph_.downstream(pe_id)[slot];
+      PeRt& t = *pes_[target.value()];
+      if (kernel::fault_drops_delivery(injector_.get(), graph_, target,
+                                       virtual_now())) {
         t.dropped.fetch_add(1, std::memory_order_relaxed);
         channel_drop_.inc();
-        collector_.internal_drop(virtual_now());
+        collector_.on_internal_drop(virtual_now());
         if (options_.spans != nullptr) {
           options_.spans->drop(sdo.span, virtual_now());
         }
@@ -467,9 +397,7 @@ class Engine {
       }
       // Re-stamp the hop's enqueue to the actual admission time.
       if (options_.spans != nullptr) {
-        options_.spans->on_enqueue(
-            sdo.span, PeId(static_cast<PeId::value_type>(target)),
-            virtual_now());
+        options_.spans->on_enqueue(sdo.span, target, virtual_now());
       }
       if (!t.input.try_push(sdo)) return;
       t.pushed.fetch_add(1, std::memory_order_relaxed);
@@ -482,97 +410,40 @@ class Engine {
   void node_tick(std::size_t node_index, Seconds vnow) {
     control::NodeController& controller = controllers_[node_index];
     const auto& local = controller.local_pes();
-    std::vector<control::PeTickInput> inputs(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      PeRt& pe = *pes_[local[i].value()];
-      control::PeTickInput& in = inputs[i];
-      // Staged SDOs are still queued from the model's point of view; they
-      // just sit on the consumer side of the ring (this thread's staging
-      // buffer, so the read is race-free).
-      in.buffer_occupancy = static_cast<double>(pe.input.size() + pe.staged());
-      in.processed_sdos = pe.processed_this_tick;
-      in.cpu_seconds_used = pe.used_this_tick;
-      const std::uint64_t pushed =
-          pe.pushed.load(std::memory_order_relaxed);
-      in.arrived_sdos =
-          static_cast<double>(pushed - pe.pushed_at_last_tick);
+    for (PeId id : local) {
+      PeRt& pe = *pes_[id.value()];
+      const std::uint64_t pushed = pe.pushed.load(std::memory_order_relaxed);
+      pe.arrived = static_cast<double>(pushed - pe.pushed_at_last_tick);
       pe.pushed_at_last_tick = pushed;
-      in.output_blocked = pe.blocked;
-      const auto& downs = graph_.downstream(local[i]);
-      const Seconds staleness =
-          options_.controller.advert_staleness_timeout;
-      if (downs.empty()) {
-        in.downstream_rmax = kInf;
-      } else {
-        in.downstream_rmax = -kInf;
-        Seconds freshest = -kInf;
-        for (PeId down : downs) {
-          const PeRt& d = *pes_[down.value()];
-          const Seconds refreshed =
-              d.advert_time.load(std::memory_order_relaxed);
-          // Per-slot staleness: a consumer silent past the timeout reads
-          // as r_max = 0 in the Eq. 8 max.
-          const bool stale = staleness > 0.0 && vnow - refreshed > staleness;
-          in.downstream_rmax = std::max(
-              in.downstream_rmax,
-              stale ? 0.0 : d.advert.load(std::memory_order_relaxed));
-          freshest = std::max(freshest, refreshed);
-        }
-        in.downstream_advert_age = vnow - freshest;
-      }
     }
-    std::vector<control::PeTickOutput> outputs;
-    {
-      obs::ScopedTimer timer(options_.profiler, obs::kPhaseControllerTick);
-      ACES_PERF_SCOPE(PerfStage::kControllerTick);
-      outputs = controller.tick(options_.dt, inputs);
-    }
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      PeRt& pe = *pes_[local[i].value()];
-      if (options_.trace != nullptr) {
-        obs::TickRecord rec;
-        rec.time = vnow;
-        rec.node = controller.node().value();
-        rec.pe = local[i].value();
-        rec.buffer_occupancy = inputs[i].buffer_occupancy;
-        rec.arrived_sdos = inputs[i].arrived_sdos;
-        rec.processed_sdos = inputs[i].processed_sdos;
-        rec.cpu_share = outputs[i].cpu_share;
-        rec.cpu_seconds_used = inputs[i].cpu_seconds_used;
-        rec.advertised_rmax = outputs[i].advertised_rmax;
-        rec.downstream_rmax = inputs[i].downstream_rmax;
-        rec.token_fill = controller.tokens(i);
-        rec.output_blocked = inputs[i].output_blocked;
-        rec.dropped_total = pe.dropped.load(std::memory_order_relaxed);
-        if (injector_ != nullptr && injector_->pe_stalled(local[i], vnow)) {
-          rec.fault_flags |= obs::kFaultPeStalled;
-        }
-        if (options_.controller.advert_staleness_timeout > 0.0 &&
-            !graph_.downstream(local[i]).empty() &&
-            inputs[i].downstream_advert_age >
-                options_.controller.advert_staleness_timeout) {
-          rec.fault_flags |= obs::kFaultAdvertStale;
-        }
-        options_.trace->record(rec);
-      }
-      collector_.cpu_used(vnow, pe.used_this_tick);
-      // Fill is against the effective channel capacity (the graph bound
-      // unless --channel-capacity overrides it), clamped because staged
-      // SDOs can push the instantaneous count past the bound.
-      collector_.buffer_sample(
-          vnow, std::min(1.0, static_cast<double>(pe.input.size() +
-                                                  pe.staged()) /
-                                  static_cast<double>(pe.input.capacity())));
-      pe.used_this_tick = 0.0;
-      pe.processed_this_tick = 0.0;
-      pe.share = outputs[i].cpu_share;
-      // Injected advertisement loss: skip the mailbox refresh entirely, so
-      // the stale value (and its timestamp) is what upstream peers see.
-      if (injector_ != nullptr && injector_->advert_lost(local[i], vnow))
-        continue;
-      pe.advert.store(outputs[i].advertised_rmax, std::memory_order_relaxed);
-      pe.advert_time.store(vnow, std::memory_order_relaxed);
-    }
+    kernel::node_tick(
+        controller, vnow, tick_env_, collector_,
+        [&](std::size_t i) {
+          PeRt& pe = *pes_[local[i].value()];
+          // Staged SDOs are still queued from the model's point of view;
+          // they just sit on the consumer side of the ring (this thread's
+          // staging buffer, so the read is race-free).
+          return kernel::PeView<Sdo>{
+              pe, static_cast<double>(pe.input.size() + pe.staged()),
+              static_cast<double>(pe.input.capacity()), pe.blocked,
+              pe.dropped.load(std::memory_order_relaxed)};
+        },
+        [&](std::size_t i, std::size_t slot) {
+          const PeRt& d = *pes_[graph_.downstream(local[i])[slot].value()];
+          return kernel::Advert{d.advert.load(std::memory_order_relaxed),
+                                d.advert_time.load(std::memory_order_relaxed)};
+        },
+        [&](std::size_t i, const control::PeTickOutput& out) {
+          PeRt& pe = *pes_[local[i].value()];
+          pe.share = out.cpu_share;
+          // Injected advertisement loss: skip the mailbox refresh entirely,
+          // so the stale value (and its timestamp) is what upstream peers
+          // see.
+          if (injector_ != nullptr && injector_->advert_lost(local[i], vnow))
+            return;
+          pe.advert.store(out.advertised_rmax, std::memory_order_relaxed);
+          pe.advert_time.store(vnow, std::memory_order_relaxed);
+        });
   }
 
   /// The hosting node crashed: everything buffered, in service, or pending
@@ -586,30 +457,13 @@ class Engine {
     std::uint64_t lost = 0;
     for (PeId id : local) {
       PeRt& pe = *pes_[id.value()];
-      std::uint64_t pe_lost = pe.busy ? 1 : 0;
-      if (options_.spans != nullptr) {
-        if (pe.busy) options_.spans->drop(pe.current.span, vnow);
-        for (std::size_t i = 0; i < pe.pending.size(); ++i)
-          options_.spans->drop(pe.pending.at(i).second.span, vnow);
-        for (std::size_t f = pe.fetched_head; f < pe.fetched_count; ++f)
-          options_.spans->drop(pe.fetched[f].span, vnow);
-      }
-      pe_lost += pe.pending.size();
-      pe_lost += pe.staged();
-      pe.fetched_head = 0;
-      pe.fetched_count = 0;
-      while (auto sdo = pe.input.try_pop()) {
-        ++pe_lost;
-        if (options_.spans != nullptr) options_.spans->drop(sdo->span, vnow);
-      }
-      pe.busy = false;
-      pe.blocked = false;
-      pe.pending.clear();
-      pe.work_remaining = 0.0;
-      pe.share = 0.0;
+      const std::uint64_t pe_lost = kernel::crash_pe(
+          pe, collector_, options_.spans, vnow, pe.pending,
+          [&pe](auto& lose) { pe.drain_staged(lose); },
+          [&pe](auto& lose) {
+            while (auto sdo = pe.input.try_pop()) lose(*sdo);
+          });
       pe.dropped.fetch_add(pe_lost, std::memory_order_relaxed);
-      for (std::uint64_t k = 0; k < pe_lost; ++k)
-        collector_.internal_drop(vnow);
       lost += pe_lost;
     }
     injector_->note_node_crash(lost);
@@ -640,17 +494,13 @@ class Engine {
           controller.reset_state();
           for (PeId id : local) {
             PeRt& pe = *pes_[id.value()];
-            while (auto sdo = pe.input.try_pop()) {
+            const auto drop_span = [&](const Sdo& sdo) {
               if (options_.spans != nullptr) {
-                options_.spans->drop(sdo->span, vnow);
+                options_.spans->drop(sdo.span, vnow);
               }
-            }
-            if (options_.spans != nullptr) {
-              for (std::size_t f = pe.fetched_head; f < pe.fetched_count; ++f)
-                options_.spans->drop(pe.fetched[f].span, vnow);
-            }
-            pe.fetched_head = 0;
-            pe.fetched_count = 0;
+            };
+            while (auto sdo = pe.input.try_pop()) drop_span(*sdo);
+            pe.drain_staged(drop_span);
             pe.pushed_at_last_tick =
                 pe.pushed.load(std::memory_order_relaxed);
           }
@@ -693,36 +543,34 @@ class Engine {
           try_flush(pe, local[i]);
           if (pe.blocked) continue;
         }
-        if (pe.share <= 0.0) continue;
+        const PeId id = local[i];
         const Seconds horizon = std::min(vnow, tick_start + options_.dt);
-        double allowed = pe.share * (horizon - tick_start) - pe.used_this_tick;
-        while (allowed > 0.0 && !pe.blocked) {
-          if (!pe.busy) {
-            // Refill the staging buffer in one burst (one index publish
-            // for up to `batch` SDOs), then serve from it.
-            if (pe.fetched_head == pe.fetched_count) {
-              pe.fetched_head = 0;
-              pe.fetched_count =
-                  pe.input.pop_burst(pe.fetched.data(), options_.batch);
-              if (pe.fetched_count == 0) break;
-            }
-            pe.current = pe.fetched[pe.fetched_head++];
-            if (options_.spans != nullptr) {
-              options_.spans->on_dequeue(pe.current.span, vnow);
-            }
-            pe.busy = true;
-            pe.work_remaining = pe.service.cost_at(vnow);
-          }
-          const double spend = std::min(allowed, pe.work_remaining);
-          pe.work_remaining -= spend;
-          pe.used_this_tick += spend;
-          pe.lifetime_cpu += spend;
-          allowed -= spend;
-          if (pe.work_remaining <= 1e-12) {
-            complete(pe, local[i], vnow);
-            any_progress = true;
-          }
-        }
+        kernel::serve(
+            pe, pe.share * (horizon - tick_start) - pe.cpu_used,
+            [&] {
+              // Refill the staging buffer in one burst (one index publish
+              // for up to `batch` SDOs), then serve from it.
+              if (pe.fetched_head == pe.fetched_count) {
+                pe.fetched_head = 0;
+                pe.fetched_count =
+                    pe.input.pop_burst(pe.fetched.data(), options_.batch);
+                if (pe.fetched_count == 0) return false;
+              }
+              pe.current = pe.fetched[pe.fetched_head++];
+              if (options_.spans != nullptr) {
+                options_.spans->on_dequeue(pe.current.span, vnow);
+              }
+              pe.busy = true;
+              pe.work_remaining = pe.service.cost_at(vnow);
+              return true;
+            },
+            [&] {
+              kernel::complete(pe, graph_, id, collector_, options_.spans,
+                               vnow, [&](std::size_t slot, Sdo sdo) {
+                                 send(pe, id, slot, sdo, vnow);
+                               });
+              any_progress = true;
+            });
       }
       if (!any_progress) sleep_virtual(options_.dt / 20.0);
     }
@@ -760,10 +608,11 @@ class Engine {
       while (gathered_count < options_.batch && next->next_arrival <= vnow) {
         const Seconds at = next->next_arrival;
         next->next_arrival += next->process->next_interarrival();
-        if (fault_drops_delivery(next->pe_index, vnow)) {
+        if (kernel::fault_drops_delivery(injector_.get(), graph_, pe_id,
+                                         vnow)) {
           pe.dropped.fetch_add(1, std::memory_order_relaxed);
           source_drop_.inc();
-          collector_.ingress_drop(at);
+          collector_.on_ingress_drop(at);
           continue;
         }
         Sdo sdo{at};
@@ -785,7 +634,7 @@ class Engine {
       for (std::size_t r = accepted; r < gathered_count; ++r) {
         pe.dropped.fetch_add(1, std::memory_order_relaxed);
         source_drop_.inc();
-        collector_.ingress_drop(gathered[r].birth);
+        collector_.on_ingress_drop(gathered[r].birth);
         if (options_.spans != nullptr) {
           options_.spans->drop(gathered[r].span, gathered[r].birth);
         }
@@ -814,6 +663,7 @@ class Engine {
   obs::Counter source_drop_;
   /// Non-null iff RuntimeOptions::faults is non-empty.
   std::unique_ptr<fault::FaultInjector> injector_;
+  kernel::TickEnv tick_env_;
 };
 
 }  // namespace

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/rng.h"
@@ -61,9 +60,7 @@ struct RuntimeOptions {
   std::uint64_t seed = 1;
   /// Optional workload hook (same contract as sim::SimOptions): builds the
   /// arrival process for each stream; null uses make_arrival_process.
-  std::function<std::unique_ptr<workload::ArrivalProcess>(
-      StreamId, const graph::StreamDescriptor&, Rng)>
-      arrival_factory;
+  workload::ArrivalFactory arrival_factory;
   /// Optional control-plane telemetry sink (same contract as
   /// sim::SimOptions::trace): one obs::TickRecord per PE per control tick,
   /// written by the node threads. Not owned; null disables.

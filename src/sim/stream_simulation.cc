@@ -1,7 +1,6 @@
 #include "sim/stream_simulation.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <limits>
 #include <utility>
@@ -16,16 +15,14 @@
 #include "obs/perf.h"
 #include "obs/scoped_timer.h"
 #include "obs/spans.h"
-#include "obs/trace.h"
+#include "sim/pe_kernel.h"
 #include "sim/simulator.h"
 #include "workload/arrivals.h"
-#include "workload/markov_modulator.h"
 
 namespace aces::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr double kWorkEps = 1e-12;
 }  // namespace
 
 struct StreamSimulation::Impl {
@@ -36,40 +33,25 @@ struct StreamSimulation::Impl {
     std::int32_t span = -1;
   };
 
-  /// Runtime state of one PE.
-  struct PeRt {
+  /// Runtime state of one PE: the kernel's core plus the event-driven
+  /// service bookkeeping.
+  struct PeRt : kernel::PeCore<Sdo> {
     PeId id;
-    std::size_t index;             // == id.value()
-    std::size_t node_local_index;  // position within pes_on_node()
-    std::size_t egress_index;      // position among egress PEs, or npos
+    std::size_t index;  // == id.value()
     // Fixed-capacity ring sized to the PE's buffer bound: SDO slots are
     // allocated once at construction, never per arrival.
     BoundedQueue<Sdo> buffer;
     int reserved = 0;  // Lock-Step in-flight slot reservations
-    bool busy = false;
-    bool blocked = false;  // Lock-Step: sleeping on a full downstream buffer
-    // Failure-injection depth: > 0 while any outage, stall, or node crash
-    // holds this PE inert. A counter, not a flag, so overlapping windows
-    // nest instead of clobbering each other.
+    // Failure-injection depth: > 0 while any stall or node crash holds
+    // this PE inert. A counter, not a flag, so overlapping windows nest
+    // instead of clobbering each other.
     int disabled = 0;
-    Sdo current{};
-    double work_remaining = 0.0;  // CPU-seconds left on `current`
     Seconds last_progress = 0.0;
-    double share = 0.0;  // CPU fraction granted at the last tick
     std::uint64_t epoch = 0;
     std::deque<std::pair<std::size_t, Sdo>> pending;  // (downstream slot, sdo)
-    double selectivity_credit = 0.0;
     workload::ServiceModel service;
-    // Interval counters, reset at each node tick.
-    double processed = 0.0;
-    double cpu_used = 0.0;
-    double arrived = 0.0;
-    // Lifetime accounting (never reset).
     std::uint64_t lifetime_arrived = 0;
-    std::uint64_t lifetime_processed = 0;
-    std::uint64_t lifetime_emitted = 0;
     std::uint64_t lifetime_dropped = 0;
-    double lifetime_cpu = 0.0;
     // Trajectory recording; non-null only when record_timeseries is set.
     metrics::TimeSeries* buffer_series = nullptr;
     metrics::TimeSeries* share_series = nullptr;
@@ -86,8 +68,6 @@ struct StreamSimulation::Impl {
     PeRt(PeId pe_id, std::size_t buffer_capacity, workload::ServiceModel svc)
         : id(pe_id),
           index(pe_id.value()),
-          node_local_index(0),
-          egress_index(static_cast<std::size_t>(-1)),
           buffer(buffer_capacity),
           service(std::move(svc)) {}
   };
@@ -97,7 +77,7 @@ struct StreamSimulation::Impl {
       : graph(g),  // private copy: workload/capacity changes mutate it
         options(opt),
         policy(opt.controller.policy),
-        collector(opt.warmup, count_egress(g)) {
+        collector(opt.warmup, kernel::count_egress(g)) {
     ACES_CHECK_MSG(opt.dt > 0.0, "dt must be positive");
     ACES_CHECK_MSG(opt.duration > opt.warmup, "duration must exceed warmup");
     ACES_CHECK_MSG(opt.prefill_fraction >= 0.0 && opt.prefill_fraction <= 1.0,
@@ -111,27 +91,20 @@ struct StreamSimulation::Impl {
     for (NodeId n : graph.all_nodes()) total_capacity += graph.node(n).cpu_capacity;
 
     // PE runtime state.
+    kernel::PeStreams streams = kernel::fork_pe_streams(graph, master);
     pes.reserve(graph.pe_count());
     std::size_t egress_counter = 0;
     for (PeId id : graph.all_pes()) {
       const auto& d = graph.pe(id);
-      workload::ServiceModel service(d.service_time[0], d.service_time[1],
-                                     d.sojourn_mean[0], d.sojourn_mean[1],
-                                     master.fork(0x5E41 + id.value()));
       PeRt rt(id, static_cast<std::size_t>(d.buffer_capacity),
-              std::move(service));
+              std::move(streams.service[id.value()]));
       rt.share = plan.at(id).cpu;
       rt.downstream_advert.assign(graph.downstream(id).size(), kInf);
       rt.downstream_advert_time.assign(graph.downstream(id).size(), 0.0);
       if (d.kind == graph::PeKind::kEgress) rt.egress_index = egress_counter++;
       pes.push_back(std::move(rt));
     }
-    // Local index within the node + upstream advertisement slots.
-    for (NodeId n : graph.all_nodes()) {
-      const auto& local = graph.pes_on_node(n);
-      for (std::size_t i = 0; i < local.size(); ++i)
-        pes[local[i].value()].node_local_index = i;
-    }
+    // Upstream advertisement slots.
     for (PeId id : graph.all_pes()) {
       const auto& downs = graph.downstream(id);
       for (std::size_t slot = 0; slot < downs.size(); ++slot) {
@@ -145,21 +118,11 @@ struct StreamSimulation::Impl {
       controllers.emplace_back(graph, n, plan, opt.controller);
 
     // Sources (optionally through the user-supplied arrival factory).
-    for (PeId id : graph.all_pes()) {
-      const auto& d = graph.pe(id);
-      if (d.kind != graph::PeKind::kIngress) continue;
-      Rng stream_rng = master.fork(0xA11 + id.value());
-      auto process =
-          opt.arrival_factory
-              ? opt.arrival_factory(d.input_stream,
-                                    graph.stream(d.input_stream),
-                                    std::move(stream_rng))
-              : workload::make_arrival_process(graph.stream(d.input_stream),
-                                               std::move(stream_rng));
-      ACES_CHECK_MSG(process != nullptr,
-                     "arrival factory returned null for stream "
-                         << d.input_stream);
-      sources.push_back(Source{id.value(), std::move(process)});
+    sources.reserve(streams.ingress.size());
+    for (auto& [id, rng] : streams.ingress) {
+      sources.push_back(Source{
+          id.value(), kernel::make_source(opt.arrival_factory, graph, id,
+                                          std::move(rng))});
     }
 
     // Trajectory recording.
@@ -218,30 +181,16 @@ struct StreamSimulation::Impl {
       });
     }
 
-    // Failure injection.
-    for (const PeOutage& outage : opt.outages) {
-      ACES_CHECK_MSG(outage.pe.valid() && outage.pe.value() < pes.size(),
-                     "outage references unknown PE");
-      ACES_CHECK_MSG(outage.until > outage.from, "outage must end after start");
-      simulator.schedule_at(outage.from, [this, outage] {
-        PeRt& pe = pes[outage.pe.value()];
-        progress(pe);
-        ++pe.disabled;
-        pe.share = 0.0;  // halts the in-flight SDO; work resumes on recovery
-        ++pe.epoch;
-      });
-      simulator.schedule_at(outage.until, [this, outage] {
-        PeRt& pe = pes[outage.pe.value()];
-        --pe.disabled;
-        // Shares return at the node's next tick; restart service then.
-      });
-    }
-
     // Declarative fault schedule (fault::FaultInjector).
+    tick_env.graph = &graph;
+    tick_env.dt = opt.dt;
+    tick_env.trace = opt.trace;
+    tick_env.profiler = opt.profiler;
     if (!opt.faults.empty()) {
       fault::validate(opt.faults, graph);
       injector = std::make_unique<fault::FaultInjector>(
           opt.faults, opt.seed, graph.pe_count(), opt.counters);
+      tick_env.injector = injector.get();
       node_down.assign(graph.node_count(), 0);
       for (const fault::NodeCrash& c : opt.faults.crashes) {
         simulator.schedule_at(c.at, [this, c] { crash_node(c.node); });
@@ -252,7 +201,7 @@ struct StreamSimulation::Impl {
           PeRt& pe = pes[s.pe.value()];
           progress(pe);
           ++pe.disabled;
-          pe.share = 0.0;
+          pe.share = 0.0;  // halts the in-flight SDO until the next tick
           ++pe.epoch;
           injector->note_pe_stall();
           if (options.spans != nullptr) {
@@ -282,14 +231,10 @@ struct StreamSimulation::Impl {
       const auto& d = graph.pe(PeId(static_cast<PeId::value_type>(
           source.pe_index)));
       if (d.input_stream != change.stream) continue;
-      Rng stream_rng = change_rng.fork(source.pe_index);
-      source.process =
-          options.arrival_factory
-              ? options.arrival_factory(change.stream,
-                                        graph.stream(change.stream),
-                                        std::move(stream_rng))
-              : workload::make_arrival_process(graph.stream(change.stream),
-                                               std::move(stream_rng));
+      source.process = kernel::make_source(
+          options.arrival_factory, graph,
+          PeId(static_cast<PeId::value_type>(source.pe_index)),
+          change_rng.fork(source.pe_index));
     }
   }
 
@@ -332,25 +277,10 @@ struct StreamSimulation::Impl {
     for (PeId id : graph.pes_on_node(node)) {
       PeRt& pe = pes[id.value()];
       progress(pe);
-      const std::uint64_t pe_lost =
-          pe.buffer.size() + (pe.busy ? 1 : 0) + pe.pending.size();
-      lost += pe_lost;
+      const std::uint64_t pe_lost = kernel::crash_pe(
+          pe, collector, options.spans, now, pe.pending, pe.buffer);
       pe.lifetime_dropped += pe_lost;
-      for (std::uint64_t k = 0; k < pe_lost; ++k)
-        collector.on_internal_drop(now);
-      if (options.spans != nullptr) {
-        for (std::size_t k = 0; k < pe.buffer.size(); ++k)
-          options.spans->drop(pe.buffer.at(k).span, now);
-        if (pe.busy) options.spans->drop(pe.current.span, now);
-        for (const auto& [slot, sdo] : pe.pending)
-          options.spans->drop(sdo.span, now);
-      }
-      pe.buffer.clear();
-      pe.pending.clear();
-      pe.busy = false;
-      pe.blocked = false;
-      pe.work_remaining = 0.0;
-      pe.share = 0.0;
+      lost += pe_lost;
       ++pe.disabled;
       ++pe.epoch;
     }
@@ -396,13 +326,6 @@ struct StreamSimulation::Impl {
     solve_and_push();
     simulator.schedule_in(options.reoptimize_interval,
                           [this] { reoptimize(); });
-  }
-
-  static std::size_t count_egress(const graph::ProcessingGraph& g) {
-    std::size_t count = 0;
-    for (PeId id : g.all_pes())
-      if (g.pe(id).kind == graph::PeKind::kEgress) ++count;
-    return count;
   }
 
   [[nodiscard]] Seconds transport_latency(std::size_t from,
@@ -461,7 +384,7 @@ struct StreamSimulation::Impl {
     PeRt& pe = pes[index];
     if (epoch != pe.epoch || !pe.busy) return;  // superseded by a tick
     progress(pe);
-    if (pe.work_remaining > kWorkEps) {  // numeric drift: finish the residue
+    if (pe.work_remaining > kernel::kWorkEps) {  // finish the drift residue
       schedule_completion(pe);
       return;
     }
@@ -469,53 +392,16 @@ struct StreamSimulation::Impl {
   }
 
   void finish_current(PeRt& pe) {
-    const Seconds now = simulator.now();
-    pe.busy = false;
-    pe.processed += 1.0;
-    ++pe.lifetime_processed;
-    collector.on_processed(now);
-
-    // Credit-conserving realization of the fractional selectivity.
-    const auto& d = graph.pe(pe.id);
-    pe.selectivity_credit += d.selectivity;
-    const int outputs = static_cast<int>(std::floor(pe.selectivity_credit));
-    pe.selectivity_credit -= outputs;
-
-    if (options.spans != nullptr) {
-      options.spans->on_emit(pe.current.span, now);
-    }
-    if (d.kind == graph::PeKind::kEgress) {
-      pe.lifetime_emitted += static_cast<std::uint64_t>(outputs);
-      for (int k = 0; k < outputs; ++k) {
-        collector.on_egress_output(now, pe.egress_index, d.weight,
-                                   now - pe.current.birth);
-      }
-      if (options.spans != nullptr) {
-        options.spans->complete(pe.current.span, now);
-      }
-    } else if (outputs > 0) {
-      const auto& downs = graph.downstream(pe.id);
-      // The span continues into the first downstream copy only, keeping
-      // each trace a single root-to-sink path under fan-out/selectivity.
-      std::int32_t span = pe.current.span;
-      for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-        for (int k = 0; k < outputs; ++k) {
-          send(pe, slot, Sdo{pe.current.birth, span});
-          span = -1;
-        }
-      }
-    } else if (options.spans != nullptr) {
-      // Selectivity absorbed the SDO: the trace legitimately ends at this
-      // PE, a complete path of its own.
-      options.spans->complete(pe.current.span, now);
-    }
+    kernel::complete(pe, graph, pe.id, collector, options.spans,
+                     simulator.now(), [this, &pe](std::size_t slot, Sdo sdo) {
+                       send(pe, slot, sdo);
+                     });
     if (!pe.blocked) maybe_start(pe);
   }
 
   /// Emits one SDO on downstream slot `slot` of `pe`, honouring the policy's
   /// full-buffer semantics.
   void send(PeRt& pe, std::size_t slot, Sdo sdo) {
-    ++pe.lifetime_emitted;
     const std::size_t target = graph.downstream(pe.id)[slot].value();
     if (policy == control::FlowPolicy::kLockStep) {
       PeRt& t = pes[target];
@@ -537,17 +423,10 @@ struct StreamSimulation::Impl {
                           [this, target, sdo] { deliver(target, sdo); });
   }
 
-  /// Injected loss on a delivery into `pe`: the hosting node is down, or a
-  /// drop burst eats it. Counts as an internal drop either way.
-  [[nodiscard]] bool fault_drops_delivery(PeRt& pe) {
-    if (injector == nullptr) return false;
-    return down(graph.pe(pe.id).node.value()) ||
-           injector->drop_delivery(pe.id, simulator.now());
-  }
-
   void deliver(std::size_t target, Sdo sdo) {
     PeRt& pe = pes[target];
-    if (fault_drops_delivery(pe)) {
+    if (kernel::fault_drops_delivery(injector.get(), graph, pe.id,
+                                     simulator.now())) {
       ++pe.lifetime_dropped;
       collector.on_internal_drop(simulator.now());
       if (options.spans != nullptr) options.spans->drop(sdo.span, simulator.now());
@@ -575,7 +454,8 @@ struct StreamSimulation::Impl {
     PeRt& pe = pes[target];
     --pe.reserved;
     ACES_CHECK_MSG(pe.reserved >= 0, "reservation accounting underflow");
-    if (fault_drops_delivery(pe)) {
+    if (kernel::fault_drops_delivery(injector.get(), graph, pe.id,
+                                     simulator.now())) {
       ++pe.lifetime_dropped;
       collector.on_internal_drop(simulator.now());
       if (options.spans != nullptr) options.spans->drop(sdo.span, simulator.now());
@@ -622,7 +502,8 @@ struct StreamSimulation::Impl {
   void source_arrival(std::size_t source_index) {
     Source& src = sources[source_index];
     PeRt& pe = pes[src.pe_index];
-    if (fault_drops_delivery(pe)) {
+    if (kernel::fault_drops_delivery(injector.get(), graph, pe.id,
+                                     simulator.now())) {
       ++pe.lifetime_dropped;
       collector.on_ingress_drop(simulator.now());
       simulator.schedule_in(src.process->next_interarrival(),
@@ -663,124 +544,66 @@ struct StreamSimulation::Impl {
 
     // A crashed node's controller is dead air: no ticks, no advertisements
     // (upstream peers watch ours go stale), just the eventual restart.
-    if (down(node_index)) {
-      simulator.schedule_in(options.dt,
-                            [this, node_index] { node_tick(node_index); });
-      return;
-    }
-
-    // UDP/Lock-Step never propagate advertisements, so their slots would
-    // all read as stale; gate the clamp on the same condition as the
-    // propagation below or healthy baselines trace rmax=0 + a fault flag.
-    const Seconds staleness = control::uses_flow_control(policy)
-                                  ? options.controller.advert_staleness_timeout
-                                  : 0.0;
-    std::vector<control::PeTickInput> inputs(local.size());
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      PeRt& pe = pes[local[i].value()];
-      progress(pe);
-      control::PeTickInput& in = inputs[i];
-      in.buffer_occupancy = static_cast<double>(pe.buffer.size());
-      in.processed_sdos = pe.processed;
-      in.cpu_seconds_used = pe.cpu_used;
-      in.arrived_sdos = pe.arrived;
-      in.output_blocked = pe.blocked;
-      in.downstream_rmax = -kInf;
-      if (pe.downstream_advert.empty()) {
-        in.downstream_rmax = kInf;  // egress: unconstrained (Eq. 8 vacuous)
-      } else {
-        Seconds freshest = -kInf;
-        for (std::size_t slot = 0; slot < pe.downstream_advert.size();
-             ++slot) {
-          // Per-slot staleness: a consumer silent past the timeout reads as
-          // r_max = 0 in the Eq. 8 max, so one live consumer still governs.
-          const bool stale =
-              staleness > 0.0 &&
-              now - pe.downstream_advert_time[slot] > staleness;
-          in.downstream_rmax = std::max(
-              in.downstream_rmax, stale ? 0.0 : pe.downstream_advert[slot]);
-          freshest = std::max(freshest, pe.downstream_advert_time[slot]);
-        }
-        in.downstream_advert_age = now - freshest;
-      }
-    }
-
-    std::vector<control::PeTickOutput> outputs;
-    {
-      obs::ScopedTimer timer(options.profiler, obs::kPhaseControllerTick);
-      ACES_PERF_SCOPE(PerfStage::kControllerTick);
-      outputs = controller.tick(options.dt, inputs);
-    }
-
-    for (std::size_t i = 0; i < local.size(); ++i) {
-      PeRt& pe = pes[local[i].value()];
-      const auto& d = graph.pe(pe.id);
-      if (options.trace != nullptr) {
-        obs::TickRecord rec;
-        rec.time = now;
-        rec.node = controller.node().value();
-        rec.pe = static_cast<std::uint32_t>(pe.index);
-        rec.buffer_occupancy = inputs[i].buffer_occupancy;
-        rec.arrived_sdos = inputs[i].arrived_sdos;
-        rec.processed_sdos = inputs[i].processed_sdos;
-        rec.cpu_share = pe.disabled ? 0.0 : outputs[i].cpu_share;
-        rec.cpu_seconds_used = inputs[i].cpu_seconds_used;
-        rec.advertised_rmax = outputs[i].advertised_rmax;
-        rec.downstream_rmax = inputs[i].downstream_rmax;
-        rec.token_fill = controller.tokens(i);
-        rec.output_blocked = inputs[i].output_blocked;
-        rec.dropped_total = pe.lifetime_dropped;
-        if (injector != nullptr && injector->pe_stalled(pe.id, now)) {
-          rec.fault_flags |= obs::kFaultPeStalled;
-        }
-        if (staleness > 0.0 && !pe.downstream_advert.empty() &&
-            inputs[i].downstream_advert_age > staleness) {
-          rec.fault_flags |= obs::kFaultAdvertStale;
-        }
-        options.trace->record(rec);
-      }
-      collector.on_cpu_used(now, pe.cpu_used);
-      collector.on_buffer_sample(now,
-                                 static_cast<double>(pe.buffer.size()) /
-                                     static_cast<double>(d.buffer_capacity));
-      if (pe.buffer_series != nullptr) {
-        pe.buffer_series->append(now, static_cast<double>(pe.buffer.size()));
-        pe.share_series->append(now, outputs[i].cpu_share);
-      }
-      pe.processed = pe.cpu_used = pe.arrived = 0.0;
-
-      const double granted = pe.disabled ? 0.0 : outputs[i].cpu_share;
-      if (granted != pe.share) {
-        pe.share = granted;
-        ++pe.epoch;
-        if (pe.busy && pe.share > 0.0) schedule_completion(pe);
-      }
-      if (!pe.busy) maybe_start(pe);
-
-      // Propagate advertisements upstream with transport latency (ACES and
-      // Threshold; an XON advertisement of +inf must travel too, or a gated
-      // upstream would never resume).
-      if (control::uses_flow_control(policy)) {
-        const double rmax = outputs[i].advertised_rmax;
-        // Injected control-plane degradation: the advertisement this PE
-        // emits at this tick is lost as one event (all upstream copies), or
-        // delayed on top of the transport latency.
-        Seconds extra_latency = 0.0;
-        if (injector != nullptr && !pe.upstream_slots.empty()) {
-          if (injector->advert_lost(pe.id, now)) continue;
-          extra_latency = injector->advert_delay(pe.id, now);
-        }
-        for (const auto& [up_index, slot] : pe.upstream_slots) {
-          const Seconds latency =
-              transport_latency(pe.index, up_index) + extra_latency;
-          simulator.schedule_in(latency, [this, up_index, slot, rmax] {
-            pes[up_index].downstream_advert[slot] = rmax;
-            pes[up_index].downstream_advert_time[slot] = simulator.now();
+    if (!down(node_index)) {
+      for (PeId id : local) progress(pes[id.value()]);
+      kernel::node_tick(
+          controller, now, tick_env, collector,
+          [&](std::size_t i) {
+            PeRt& pe = pes[local[i].value()];
+            return kernel::PeView<Sdo>{
+                pe, static_cast<double>(pe.buffer.size()),
+                static_cast<double>(pe.buffer.capacity()), pe.blocked,
+                pe.lifetime_dropped};
+          },
+          [&](std::size_t i, std::size_t slot) {
+            const PeRt& pe = pes[local[i].value()];
+            return kernel::Advert{pe.downstream_advert[slot],
+                                  pe.downstream_advert_time[slot]};
+          },
+          [&](std::size_t i, const control::PeTickOutput& out) {
+            apply_tick(pes[local[i].value()], out, now);
           });
-        }
-      }
     }
-    simulator.schedule_in(options.dt, [this, node_index] { node_tick(node_index); });
+    simulator.schedule_in(options.dt,
+                          [this, node_index] { node_tick(node_index); });
+  }
+
+  /// A tick's decision reaches `pe`: the granted share re-times the SDO in
+  /// service, and the advertisement travels upstream.
+  void apply_tick(PeRt& pe, const control::PeTickOutput& out, Seconds now) {
+    if (pe.buffer_series != nullptr) {
+      pe.buffer_series->append(now, static_cast<double>(pe.buffer.size()));
+      pe.share_series->append(now, out.cpu_share);
+    }
+    const double granted = pe.disabled ? 0.0 : out.cpu_share;
+    if (granted != pe.share) {
+      pe.share = granted;
+      ++pe.epoch;
+      if (pe.busy && pe.share > 0.0) schedule_completion(pe);
+    }
+    if (!pe.busy) maybe_start(pe);
+
+    // Propagate advertisements upstream with transport latency (ACES and
+    // Threshold; an XON advertisement of +inf must travel too, or a gated
+    // upstream would never resume).
+    if (!control::uses_flow_control(policy)) return;
+    const double rmax = out.advertised_rmax;
+    // Injected control-plane degradation: the advertisement this PE emits
+    // at this tick is lost as one event (all upstream copies), or delayed
+    // on top of the transport latency.
+    Seconds extra_latency = 0.0;
+    if (injector != nullptr && !pe.upstream_slots.empty()) {
+      if (injector->advert_lost(pe.id, now)) return;
+      extra_latency = injector->advert_delay(pe.id, now);
+    }
+    for (const auto& [up_index, slot] : pe.upstream_slots) {
+      const Seconds latency =
+          transport_latency(pe.index, up_index) + extra_latency;
+      simulator.schedule_in(latency, [this, up_index, slot, rmax] {
+        pes[up_index].downstream_advert[slot] = rmax;
+        pes[up_index].downstream_advert_time[slot] = simulator.now();
+      });
+    }
   }
 
   struct Source {
@@ -804,6 +627,7 @@ struct StreamSimulation::Impl {
   std::unique_ptr<fault::FaultInjector> injector;
   /// Crash-window nesting depth per node; sized only when faults are active.
   std::vector<int> node_down;
+  kernel::TickEnv tick_env;
 };
 
 StreamSimulation::StreamSimulation(const graph::ProcessingGraph& graph,

@@ -22,7 +22,6 @@
 // time resolve by schedule order.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,17 +68,6 @@ struct WeightChange {
   double new_weight = 1.0;
 };
 
-/// A scheduled outage of one PE: from `from` to `until` it processes
-/// nothing (its CPU share is forced to zero); arrivals keep queueing and
-/// overflow per the policy's semantics. Models the crash/termination events
-/// that trigger tier-1 re-optimization in the paper ("when PEs are deployed
-/// or terminate").
-struct PeOutage {
-  Seconds from = 0.0;
-  Seconds until = 0.0;
-  PeId pe;
-};
-
 struct SimOptions {
   /// Control interval Δt (paper: sub-second; default 100 ms).
   Seconds dt = 0.1;
@@ -115,17 +103,13 @@ struct SimOptions {
   std::vector<RateChange> rate_changes;
   /// Scheduled capacity shifts.
   std::vector<CapacityChange> capacity_changes;
-  /// Scheduled PE outages (failure injection).
-  std::vector<PeOutage> outages;
   /// Scheduled priority shifts.
   std::vector<WeightChange> weight_changes;
   /// Optional workload hook: builds the arrival process for each stream
   /// (trace replay, custom distributions). Null uses
   /// workload::make_arrival_process on the stream descriptor. The Rng is
   /// the per-stream generator derived from `seed`.
-  std::function<std::unique_ptr<workload::ArrivalProcess>(
-      StreamId, const graph::StreamDescriptor&, Rng)>
-      arrival_factory;
+  workload::ArrivalFactory arrival_factory;
   /// Optional control-plane telemetry sink: one obs::TickRecord per PE per
   /// control tick, captured at the NodeController::tick() boundary. Not
   /// owned; must outlive the run. Null disables tracing (zero cost).

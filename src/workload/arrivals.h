@@ -9,6 +9,7 @@
 //                while ON, silent while OFF; the classic bursty-source model
 #pragma once
 
+#include <functional>
 #include <memory>
 
 #include "common/rng.h"
@@ -79,5 +80,11 @@ class OnOffArrivals final : public ArrivalProcess {
 /// (burstiness 1 → 4× peak-to-mean ratio) and a 1-second mean cycle.
 std::unique_ptr<ArrivalProcess> make_arrival_process(
     const graph::StreamDescriptor& stream, Rng rng);
+
+/// Workload hook an engine takes in place of make_arrival_process (trace
+/// replay, custom distributions): builds the process of one stream from its
+/// descriptor and the per-stream generator the engine derived from its seed.
+using ArrivalFactory = std::function<std::unique_ptr<ArrivalProcess>(
+    StreamId, const graph::StreamDescriptor&, Rng)>;
 
 }  // namespace aces::workload

@@ -1346,8 +1346,9 @@ int usage(std::ostream& os, int code) {
         "             line per policy instead of the table; identical\n"
         "             across transports and process counts.\n"
         "             --trace writes one file per policy: F.<policy>.jsonl\n"
-        "             (simulator and threaded runtime only). Data-plane\n"
-        "             knobs, see docs/performance.md: --batch caps SDOs\n"
+        "             (every engine; the distributed transports tag each\n"
+        "             record with its shard). Data-plane knobs, see\n"
+        "             docs/performance.md: --batch caps SDOs\n"
         "             moved per channel operation, --channel-capacity\n"
         "             overrides the graph's buffer bounds when > 0, --pin\n"
         "             pins worker threads to cores.\n"
@@ -1356,8 +1357,7 @@ int usage(std::ostream& os, int code) {
         "             text status endpoint on 127.0.0.1 (0 picks a port),\n"
         "             --status-linger keeps it up SEC seconds after the\n"
         "             runs, --prom writes one cluster exposition per\n"
-        "             policy: F.<policy>.txt; --trace ships shard-tagged\n"
-        "             control ticks to F.<policy>.jsonl)\n"
+        "             policy: F.<policy>.txt)\n"
         "  cluster-report --topology=FILE [--policy --duration --warmup\n"
         "             --seed --transport=uds --processes=3 --substeps=4\n"
         "             --sample=0.01 --csv --trace=F.jsonl --prom=F.txt\n"
