@@ -4,6 +4,7 @@
 // controller is "computationally light" (paper §V-C).
 #include <benchmark/benchmark.h>
 
+#include "common/rng.h"
 #include "control/cpu_scheduler.h"
 #include "control/flow_controller.h"
 #include "control/lqr.h"
@@ -34,6 +35,52 @@ void BM_EventQueueScheduleAndRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * events);
 }
 BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000)->Arg(10000);
+
+void BM_EventQueueHold(benchmark::State& state) {
+  // Hold model in the 200-PE simulation's delay mix: every event schedules
+  // one successor, so the pending population stays at range(0). Successor
+  // delays: same-node (0.2 ms) and cross-node (2 ms) deliveries, 0.1 s
+  // control ticks, exponential arrival and service gaps, and a few
+  // far-future completions of PEs left with a tiny CPU share.
+  struct Hold {
+    sim::Simulator* sim;
+    Rng rng;
+    void fire() {
+      const double u = rng.uniform();
+      double delay = 0.0;
+      if (u < 0.15) {
+        delay = 0.2e-3;
+      } else if (u < 0.40) {
+        delay = 2e-3;
+      } else if (u < 0.50) {
+        delay = 0.1;
+      } else if (u < 0.99) {
+        delay = rng.exponential(5e-3);
+      } else {
+        delay = rng.uniform(0.5, 5.0);
+      }
+      Hold* self = this;
+      sim->schedule_in(delay, [self] { self->fire(); });
+    }
+  };
+  const auto population = static_cast<int>(state.range(0));
+  constexpr std::uint64_t kEvents = 100000;
+  std::int64_t executed = 0;
+  for (auto _ : state) {
+    sim::Simulator simulator;
+    Hold hold{&simulator, Rng(9)};
+    // The initial events take their delays from the same mix, so far-future
+    // events are pending from the start, as in the simulation.
+    for (int i = 0; i < population; ++i) hold.fire();
+    while (simulator.executed() < kEvents) {
+      simulator.run_until(simulator.now() + 0.01);
+    }
+    benchmark::DoNotOptimize(simulator.executed());
+    executed += static_cast<std::int64_t>(simulator.executed());
+  }
+  state.SetItemsProcessed(executed);
+}
+BENCHMARK(BM_EventQueueHold)->Arg(400);
 
 void BM_FlowControllerUpdate(benchmark::State& state) {
   const auto gains = control::design_flow_gains(2, control::LqrWeights{});

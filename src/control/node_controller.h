@@ -122,6 +122,7 @@ class NodeController {
   const graph::ProcessingGraph* graph_;
   NodeId node_;
   ControllerConfig config_;
+  FlowGains gains_;  // one LQR design per node; every PE shares the inputs
   double capacity_;
   std::vector<PeState> states_;  // aligned with local_pes()
 };

@@ -130,6 +130,9 @@ class Reader {
     return true;
   }
 
+  /// Payload bytes not yet read.
+  [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
+
   /// True when every payload byte was consumed — trailing garbage is
   /// rejected so frames cannot smuggle undeclared data.
   bool exhausted() {
@@ -263,9 +266,9 @@ bool get_vec(Reader& r, std::vector<T>* v, Get get_one, WireError* error,
              const char* what) {
   std::uint32_t n = 0;
   if (!r.u32(&n)) return false;
-  // Each element is at least 8 bytes on the wire; an element count far
-  // beyond the payload is corruption, not a big message.
-  if (n > kMaxFramePayload / 8) {
+  // Each element is at least 8 bytes on the wire; a count that the rest of
+  // the payload cannot hold is corruption, and must fail before the resize.
+  if (static_cast<std::size_t>(n) * 8 > r.remaining()) {
     if (error != nullptr && error->reason.empty())
       error->reason = std::string("implausible element count for ") + what;
     return false;
@@ -576,7 +579,7 @@ std::optional<Report> decode_report(const std::vector<std::uint8_t>& payload,
   }
   std::uint32_t pe_count = 0;
   if (!r.u32(&pe_count)) return std::nullopt;
-  if (pe_count > kMaxFramePayload / 40) {
+  if (static_cast<std::size_t>(pe_count) * 40 > r.remaining()) {  // 5 × 8 B
     if (error != nullptr && error->reason.empty())
       error->reason = "implausible per-PE accounting count";
     return std::nullopt;

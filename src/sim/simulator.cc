@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -10,21 +9,13 @@
 namespace aces::sim {
 
 namespace {
-constexpr std::size_t kInitialBuckets = 32;  // power of two
-constexpr double kInitialWidth = 0.01;       // one control tick order
-constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-
+constexpr std::size_t kArity = 4;
 /// Total event order: earliest time first, schedule order on ties.
-bool earlier(Seconds at, std::uint64_t as, Seconds bt, std::uint64_t bs) {
-  if (at != bt) return at < bt;
-  return as < bs;
+template <typename Key>
+bool earlier(const Key& a, const Key& b) {
+  return a.time < b.time || (a.time == b.time && a.seq < b.seq);
 }
 }  // namespace
-
-Simulator::Simulator()
-    : buckets_(kInitialBuckets),
-      bucket_mask_(kInitialBuckets - 1),
-      width_(kInitialWidth) {}
 
 void Simulator::schedule_in(Seconds delay, Handler fn) {
   ACES_CHECK_MSG(delay >= 0.0, "cannot schedule into the past");
@@ -34,135 +25,63 @@ void Simulator::schedule_in(Seconds delay, Handler fn) {
 void Simulator::schedule_at(Seconds t, Handler fn) {
   ACES_PERF_SCOPE(PerfStage::kCalendarInsert);
   ACES_CHECK_MSG(t >= now_, "cannot schedule into the past");
-  if (size_ + 1 > 2 * buckets_.size()) rebuild(buckets_.size() * 2);
-  const std::uint64_t day = day_of(t);
-  // Keep the drain cursor's invariant (current_day_ <= every pending
-  // event's day): the cursor may sit arbitrarily far ahead after skipping
-  // empty days, while t >= now_ only bounds the new event from below.
-  if (size_ == 0 || day < current_day_) current_day_ = day;
-  buckets_[day & bucket_mask_].push_back(Event{t, next_seq_++, std::move(fn)});
-  ++size_;
+  if (free_.empty()) {
+    handlers_.emplace_back();
+    free_.push_back(handlers_.size() - 1);
+  }
+  const std::size_t slot = free_.back();
+  free_.pop_back();
+  handlers_[slot] = std::move(fn);
+  // Sift up through a hole. A new key never precedes an equal-time parent
+  // (its seq is the largest yet), so ties keep schedule order.
+  const Key key{t, next_seq_++, slot};
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0 && earlier(key, heap_[(i - 1) / kArity])) {
+    heap_[i] = heap_[(i - 1) / kArity];
+    i = (i - 1) / kArity;
+  }
+  heap_[i] = key;
 }
 
-std::pair<std::size_t, std::size_t> Simulator::find_min() {
-  ACES_PERF_SCOPE(PerfStage::kCalendarDrain);
-  // Fast path: drain the calendar day by day. Every pending event lives on
-  // day >= current_day_, and all of day d precedes all of day d+1, so the
-  // first day with a resident event holds the global minimum.
-  for (std::size_t rounds = 0; rounds < buckets_.size(); ++rounds) {
-    const std::size_t b = current_day_ & bucket_mask_;
-    const std::vector<Event>& bucket = buckets_[b];
-    std::size_t best = kNoSlot;
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (day_of(bucket[k].time) != current_day_) continue;
-      if (best == kNoSlot || earlier(bucket[k].time, bucket[k].seq,
-                                     bucket[best].time, bucket[best].seq)) {
-        best = k;
+void Simulator::run_next() {
+  Key top{};
+  {
+    ACES_PERF_SCOPE(PerfStage::kCalendarDrain);
+    top = heap_.front();
+    const Key last = heap_.back();
+    heap_.pop_back();
+    // Sift the former last key down from the root through a hole.
+    const std::size_t n = heap_.size();
+    std::size_t i = 0;
+    while (kArity * i + 1 < n) {
+      const std::size_t first = kArity * i + 1;
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < std::min(first + kArity, n); ++c) {
+        if (earlier(heap_[c], heap_[best])) best = c;
       }
+      if (!earlier(heap_[best], last)) break;
+      heap_[i] = heap_[best];
+      i = best;
     }
-    if (best != kNoSlot) {
-      ACES_PERF_COUNT(PerfEvent::kCalendarBucketHit);
-      return {b, best};
-    }
-    ++current_day_;
+    if (n > 0) heap_[i] = last;
   }
-  ACES_PERF_COUNT(PerfEvent::kCalendarSparseFallback);
-  // Sparse population: no event within a full calendar cycle. Find the
-  // minimum directly and jump the calendar to its day.
-  std::size_t best_bucket = kNoSlot;
-  std::size_t best_slot = kNoSlot;
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    const std::vector<Event>& bucket = buckets_[b];
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (best_bucket == kNoSlot ||
-          earlier(bucket[k].time, bucket[k].seq,
-                  buckets_[best_bucket][best_slot].time,
-                  buckets_[best_bucket][best_slot].seq)) {
-        best_bucket = b;
-        best_slot = k;
-      }
-    }
-  }
-  ACES_CHECK_MSG(best_bucket != kNoSlot, "find_min on empty calendar");
-  current_day_ = day_of(buckets_[best_bucket][best_slot].time);
-  return {best_bucket, best_slot};
-}
-
-Simulator::Event Simulator::extract(std::pair<std::size_t, std::size_t> loc) {
-  std::vector<Event>& bucket = buckets_[loc.first];
-  Event event = std::move(bucket[loc.second]);
-  if (loc.second != bucket.size() - 1) {
-    bucket[loc.second] = std::move(bucket.back());
-  }
-  bucket.pop_back();
-  --size_;
-  return event;
-}
-
-void Simulator::rebuild(std::size_t bucket_count) {
-  ACES_PERF_COUNT(PerfEvent::kCalendarRebuild);
-  std::vector<Event> events;
-  events.reserve(size_);
-  for (std::vector<Event>& bucket : buckets_) {
-    for (Event& e : bucket) events.push_back(std::move(e));
-    bucket.clear();
-  }
-  // Width: twice the mean inter-event gap, so a bucket holds a couple of
-  // events on average. Degenerate spans (all ties) keep the old width —
-  // same time means same bucket at any width.
-  if (events.size() > 1) {
-    Seconds lo = events.front().time;
-    Seconds hi = lo;
-    for (const Event& e : events) {
-      lo = std::min(lo, e.time);
-      hi = std::max(hi, e.time);
-    }
-    const double span = hi - lo;
-    if (span > 0.0) {
-      // Floors keep day numbers (time / width) far from uint64 range even
-      // for adversarially tight spans at large absolute times.
-      width_ = std::max({2.0 * span / static_cast<double>(events.size()),
-                         hi * 1e-15, 1e-12});
-    }
-  }
-  buckets_.clear();
-  buckets_.resize(bucket_count);
-  bucket_mask_ = bucket_count - 1;
-  for (Event& e : events) {
-    buckets_[day_of(e.time) & bucket_mask_].push_back(std::move(e));
-  }
-  // Re-home the drain cursor onto the earliest pending day.
-  if (size_ > 0) {
-    Seconds min_time = std::numeric_limits<Seconds>::max();
-    for (const std::vector<Event>& bucket : buckets_) {
-      for (const Event& e : bucket) min_time = std::min(min_time, e.time);
-    }
-    current_day_ = day_of(min_time);
-  } else {
-    current_day_ = day_of(now_);
-  }
+  // Move the handler out before running it, so it may reuse its own slot.
+  Handler fn = std::move(handlers_[top.slot]);
+  free_.push_back(top.slot);
+  now_ = top.time;
+  ++executed_;
+  fn();
 }
 
 void Simulator::run_until(Seconds end) {
   ACES_CHECK_MSG(end >= now_, "cannot run backwards");
-  while (size_ > 0) {
-    const auto loc = find_min();
-    if (buckets_[loc.first][loc.second].time > end) break;
-    Event event = extract(loc);
-    now_ = event.time;
-    ++executed_;
-    event.fn();
-  }
+  while (!heap_.empty() && heap_.front().time <= end) run_next();
   now_ = end;
 }
 
 void Simulator::run_all() {
-  while (size_ > 0) {
-    Event event = extract(find_min());
-    now_ = event.time;
-    ++executed_;
-    event.fn();
-  }
+  while (!heap_.empty()) run_next();
 }
 
 }  // namespace aces::sim

@@ -267,5 +267,42 @@ TEST(NodeControllerTest, LongRunAcesUsageMatchesTargetUnderSaturation) {
   EXPECT_NEAR(total_share / ticks, 0.25, 0.02);
 }
 
+TEST(NodeControllerTest, ResetStateMatchesFreshControllerTickForTick) {
+  // The LQR gains are designed once per controller and reused on restart:
+  // after reset_state() the flow controllers must act exactly as a freshly
+  // built controller's do, over a long run with delayed feedback.
+  Fixture f;
+  ControllerConfig config;
+  config.policy = FlowPolicy::kAces;
+  config.feedback_delay_ticks = 2;
+  const opt::AllocationPlan plan = f.plan(0.3, 0.4);
+  const auto input = [&f](int tick, std::size_t pe) {
+    PeTickInput in;
+    in.buffer_occupancy = 25.0 + 20.0 * std::sin(0.37 * tick + pe);
+    in.arrived_sdos = 2.0 + std::fmod(0.7 * tick, 3.0);
+    in.processed_sdos = 1.5 + std::fmod(0.3 * tick + pe, 2.0);
+    in.cpu_seconds_used = in.processed_sdos *
+                          f.g.pe(pe == 0 ? f.pe_a : f.pe_b).mean_service_time();
+    in.downstream_rmax = 10.0 + 5.0 * std::cos(0.11 * tick);
+    return in;
+  };
+  NodeController restarted(f.g, f.node0, plan, config);
+  for (int tick = 0; tick < 50; ++tick) {
+    (void)restarted.tick(0.1, {input(tick + 1000, 0), input(tick + 1000, 1)});
+  }
+  restarted.reset_state();
+  NodeController fresh(f.g, f.node0, plan, config);
+  for (int tick = 0; tick < 200; ++tick) {
+    const std::vector<PeTickInput> in{input(tick, 0), input(tick, 1)};
+    const auto a = restarted.tick(0.1, in);
+    const auto b = fresh.tick(0.1, in);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].cpu_share, b[i].cpu_share) << "tick " << tick;
+      ASSERT_EQ(a[i].advertised_rmax, b[i].advertised_rmax) << "tick " << tick;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aces::control

@@ -86,7 +86,7 @@ TEST(ClassifyBenchField, TimingAndMemoryAreSoft) {
 TEST(ClassifyBenchField, ProbeTelemetryIsInformational) {
   EXPECT_EQ(classify_bench_field("perf.stages.calendar_insert.ns"),
             BenchFieldClass::kInfo);
-  EXPECT_EQ(classify_bench_field("perf.events.calendar_bucket_hit"),
+  EXPECT_EQ(classify_bench_field("perf.events.buffer_pool_hit"),
             BenchFieldClass::kInfo);
   EXPECT_EQ(classify_bench_field("perf.instrumented"),
             BenchFieldClass::kInfo);
@@ -210,10 +210,10 @@ TEST(BenchDiff, ProbeTelemetryDriftNeverFails) {
   const BenchDiffResult result = diff_strings(
       R"({"perf":{"instrumented":true,"stages":)"
       R"({"calendar_insert":{"calls":10,"ns":500}},)"
-      R"("events":{"calendar_bucket_hit":9}}})",
+      R"("events":{"buffer_pool_hit":9}}})",
       R"({"perf":{"instrumented":false,"stages":)"
       R"({"calendar_insert":{"calls":99,"ns":900}},)"
-      R"("events":{"calendar_bucket_hit":1}}})");
+      R"("events":{"buffer_pool_hit":1}}})");
   EXPECT_TRUE(result.hard.empty());
   EXPECT_TRUE(result.soft.empty());
   EXPECT_FALSE(result.info.empty());

@@ -873,6 +873,43 @@ TEST(WireReject, ImplausibleVectorCount) {
   EXPECT_FALSE(err.reason.empty());
 }
 
+TEST(WireReject, ElementCountBoundedByBytesLeft) {
+  // 8M deliveries is far below the frame-size cap, so only a bound on the
+  // bytes left in this 64-byte payload stops the decoder from allocating
+  // them before it notices the truncation.
+  std::vector<std::uint8_t> payload(8 + 1, 0);  // quantum, flags
+  const std::uint32_t declared = 8u << 20;
+  for (std::size_t i = 0; i < 4; ++i) {
+    payload.push_back(static_cast<std::uint8_t>(declared >> (8 * i)));
+  }
+  payload.resize(64, 0);
+  WireError err;
+  EXPECT_FALSE(decode_step_go(payload, &err).has_value());
+  EXPECT_NE(err.reason.find("implausible element count for deliveries"),
+            std::string::npos)
+      << err.reason;
+}
+
+TEST(WireReject, ReportPeCountBoundedByBytesLeft) {
+  // Same guard for the Report's per-PE accounting block: a count its
+  // payload cannot hold is rejected before the resize.
+  Report in;
+  in.report.per_pe.resize(2);
+  auto payload = payload_of(encode(in), FrameType::kReport);
+  // The per-PE count sits before the two PE records (5 × 8 bytes each)
+  // and the two trailing u64 totals.
+  const std::size_t count_at = payload.size() - 2 * 40 - 16 - 4;
+  const std::uint32_t declared = 8u << 20;
+  for (std::size_t i = 0; i < 4; ++i) {
+    payload[count_at + i] = static_cast<std::uint8_t>(declared >> (8 * i));
+  }
+  WireError err;
+  EXPECT_FALSE(decode_report(payload, &err).has_value());
+  EXPECT_NE(err.reason.find("implausible per-PE accounting count"),
+            std::string::npos)
+      << err.reason;
+}
+
 TEST(WireReject, WrongDecoderForType) {
   // Feeding a Hello payload to the Config decoder must fail cleanly.
   const auto payload = payload_of(encode(Hello{}), FrameType::kHello);

@@ -1,7 +1,10 @@
 #include "sim/simulator.h"
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,16 +121,16 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   EXPECT_EQ(sim.executed(), 10000u);
 }
 
-// The remaining tests stress the calendar queue's specific failure modes:
-// duplicate timestamps spread over many buckets, far-future jumps that
-// overflow the current day, rebuilds while events are pending, and
-// interleaved execute/schedule traffic around bucket boundaries.
+// The remaining tests were written against the calendar queue the heap
+// replaced (duplicate timestamps across rebuilds, far-future jumps, bucket
+// boundaries, tiny bucket widths). They stay as ordering tests: any event
+// set must pass them.
 
 TEST(SimulatorTest, DuplicateTimestampsKeepScheduleOrderAcrossRebuilds) {
   Simulator sim;
   std::vector<int> trace;
-  // Enough events to force several capacity rebuilds, at only 3 distinct
-  // times, scheduled in a shuffled pattern.
+  // Hundreds of events at only 3 distinct times, scheduled in a shuffled
+  // pattern, so most comparisons are ties broken by schedule order.
   for (int i = 0; i < 600; ++i) {
     const double t = static_cast<double>((i * 7) % 3);
     sim.schedule_at(t, [&trace, i] { trace.push_back(i); });
@@ -147,7 +150,7 @@ TEST(SimulatorTest, FarFutureJumpThenBackfillStaysOrdered) {
   Simulator sim;
   std::vector<double> times;
   const auto record = [&] { times.push_back(sim.now()); };
-  sim.schedule_at(1e6, record);   // far beyond the initial bucket span
+  sim.schedule_at(1e6, record);   // far beyond everything else pending
   sim.schedule_at(0.001, record); // backfill near now
   sim.schedule_at(999.0, record);
   sim.schedule_at(1e-9, record);
@@ -157,8 +160,8 @@ TEST(SimulatorTest, FarFutureJumpThenBackfillStaysOrdered) {
 
 TEST(SimulatorTest, HandlersSchedulingAcrossBucketBoundaries) {
   Simulator sim;
-  // Each event schedules a follow-up ~1000 widths ahead; the cursor must
-  // re-home correctly every time the current day's bucket goes empty.
+  // A single pending event at a time, each hop far ahead of the last: the
+  // set empties and refills on every step.
   int hops = 0;
   std::function<void()> hop = [&] {
     if (++hops < 50) sim.schedule_in(97.3, hop);
@@ -193,8 +196,7 @@ TEST(SimulatorTest, InterleavedScheduleAndRunKeepsGlobalOrder) {
 
 TEST(SimulatorTest, TinyTimeScaleDoesNotOverflowDayIndex) {
   Simulator sim;
-  // All events nanoseconds apart: the adaptive bucket width must clamp so
-  // day indices stay representable.
+  // All events nanoseconds apart, scheduled in reverse time order.
   std::vector<double> times;
   for (int i = 100; i > 0; --i) {
     sim.schedule_at(static_cast<double>(i) * 1e-9,
@@ -205,6 +207,151 @@ TEST(SimulatorTest, TinyTimeScaleDoesNotOverflowDayIndex) {
   for (std::size_t i = 1; i < times.size(); ++i) {
     EXPECT_LT(times[i - 1], times[i]);
   }
+}
+
+// Reference event set: a flat list searched for the least (time, seq) on
+// every pop. Slow and obviously correct.
+class ReferenceSimulator {
+ public:
+  [[nodiscard]] Seconds now() const { return now_; }
+  void schedule_in(Seconds delay, std::function<void()> fn) {
+    schedule_at(now_ + delay, std::move(fn));
+  }
+  void schedule_at(Seconds t, std::function<void()> fn) {
+    events_.push_back(Event{t, next_seq_++, std::move(fn)});
+  }
+  void run_until(Seconds end) {
+    while (!events_.empty()) {
+      const auto it = earliest();
+      if (it->time > end) break;
+      pop_and_run(it);
+    }
+    now_ = end;
+  }
+  void run_all() {
+    while (!events_.empty()) pop_and_run(earliest());
+  }
+
+ private:
+  struct Event {
+    Seconds time;
+    std::uint64_t seq;
+    std::function<void()> fn;
+  };
+  std::vector<Event>::iterator earliest() {
+    auto best = events_.begin();
+    for (auto it = events_.begin(); it != events_.end(); ++it) {
+      if (it->time < best->time ||
+          (it->time == best->time && it->seq < best->seq)) {
+        best = it;
+      }
+    }
+    return best;
+  }
+  void pop_and_run(std::vector<Event>::iterator it) {
+    Event event = std::move(*it);
+    events_.erase(it);
+    now_ = event.time;
+    event.fn();
+  }
+
+  Seconds now_ = 0.0;
+  std::uint64_t next_seq_ = 0;
+  std::vector<Event> events_;
+};
+
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+double unit(std::uint64_t h) {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// Drives `sim` through a seeded workload in the simulation's delay mix and
+/// returns every executed event as (time, id). Each event's children and
+/// their delays are a function of its id alone, so any correct event set
+/// produces the same sequence.
+template <typename Sim>
+std::vector<std::pair<double, int>> drive(Sim& sim, std::uint64_t seed) {
+  constexpr int kEvents = 6000;
+  constexpr double kTick = 0.01;
+  std::vector<std::pair<double, int>> out;
+  int next_id = 0;
+  std::function<void(int)> schedule_children;
+  // The handler of event `id`: record it, then schedule its children.
+  const auto event = [&sim, &out, &schedule_children](int id) {
+    return [&sim, &out, &schedule_children, id] {
+      out.emplace_back(sim.now(), id);
+      schedule_children(id);
+    };
+  };
+  schedule_children = [&](int id) {
+    std::uint64_t h = mix64(seed ^ static_cast<std::uint64_t>(id));
+    const int children = (h & 3) == 0 ? 2 : 1;
+    for (int c = 0; c < children && next_id < kEvents; ++c) {
+      h = mix64(h);
+      const auto run = event(next_id++);
+      switch ((h >> 8) % 6) {
+        case 0: sim.schedule_in(0.0, run); break;       // same instant
+        case 1: sim.schedule_in(0.5e-3, run); break;    // link latency
+        case 2: sim.schedule_in(kTick, run); break;     // control tick
+        case 3:                                         // exponential gap
+          sim.schedule_in(-std::log1p(-unit(mix64(h))) * 75e-6, run);
+          break;
+        case 4:  // exact tie: the next tick boundary, shared by many events
+          sim.schedule_at((std::floor(sim.now() / kTick) + 1.0) * kTick, run);
+          break;
+        default:  // far future
+          sim.schedule_in(5.0 + 50.0 * unit(mix64(h)), run);
+          break;
+      }
+    }
+  };
+  for (int i = 0; i < 300; ++i) {
+    sim.schedule_at(0.001 * (i % 37), event(next_id++));
+  }
+  for (double horizon = 0.25; horizon < 2.0; horizon += 0.25) {
+    sim.run_until(horizon);
+  }
+  sim.run_all();
+  return out;
+}
+
+TEST(SimulatorTest, MatchesReferenceOrderOnSimulationDelayMix) {
+  for (const std::uint64_t seed : {1u, 9u, 77u}) {
+    Simulator sim;
+    ReferenceSimulator reference;
+    const auto got = drive(sim, seed);
+    const auto want = drive(reference, seed);
+    ASSERT_EQ(got.size(), 6000u) << "seed " << seed;
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " event " << i;
+    }
+    EXPECT_EQ(sim.executed(), got.size());
+    EXPECT_EQ(sim.pending(), 0u);
+  }
+}
+
+TEST(SimulatorTest, HandlerReusingItsOwnSlotKeepsItsCaptures) {
+  Simulator sim;
+  std::vector<std::uint64_t> seen;
+  const std::array<std::uint64_t, 6> payload{11, 22, 33, 44, 55, 66};
+  sim.schedule_at(1.0, [&sim, &seen, payload] {
+    // The only pending event: its slot is the free one, so this lands in
+    // the slot the running handler was moved out of.
+    sim.schedule_in(1.0, [&seen] { seen.push_back(99); });
+    sim.schedule_in(2.0, [&seen] { seen.push_back(100); });
+    for (const std::uint64_t v : payload) seen.push_back(v);
+  });
+  sim.run_all();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{11, 22, 33, 44, 55, 66, 99,
+                                              100}));
+  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
 }
 
 }  // namespace

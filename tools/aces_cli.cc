@@ -372,25 +372,22 @@ harness::RunSummary run_one(const graph::ProcessingGraph& g,
                             const opt::AllocationPlan& plan,
                             control::FlowPolicy policy, double duration,
                             double warmup, int seed,
-                            const std::string& timeseries_path,
                             obs::ControlTraceRecorder* trace,
                             const FaultFlags& faults,
-                            obs::CounterRegistry* counters) {
+                            obs::CounterRegistry* counters,
+                            metrics::RunReport* out_report) {
   sim::SimOptions options;
   options.duration = duration;
   options.warmup = warmup;
   options.seed = static_cast<std::uint64_t>(seed);
   options.controller.policy = policy;
-  options.record_timeseries = !timeseries_path.empty();
   options.trace = trace;
   faults.apply(options, counters);
   sim::StreamSimulation simulation(g, plan, options);
   simulation.run();
-  if (!timeseries_path.empty()) {
-    std::ofstream file(timeseries_path);
-    simulation.timeseries().write_csv(file);
-  }
-  return harness::summarize(simulation.report(), plan.weighted_throughput);
+  const metrics::RunReport report = simulation.report();
+  if (out_report != nullptr) *out_report = report;
+  return harness::summarize(report, plan.weighted_throughput);
 }
 
 /// Data-plane tuning knobs for the threaded runtime (docs/performance.md).
@@ -688,7 +685,10 @@ int cmd_compare(Flags& flags) {
     std::cerr << "warning: prockill clauses need the distributed runtime "
                  "(--transport=inproc|uds|tcp); ignored on this substrate\n";
   }
-  if (fingerprint && !use_dist && use_runtime) {
+  // The simulator and the distributed runtime are deterministic; the
+  // threaded runtime is not, so it keeps the table.
+  const bool print_fingerprints = fingerprint && (use_dist || !use_runtime);
+  if (fingerprint && !print_fingerprints) {
     std::cerr << "warning: the threaded runtime is wall-paced and "
                  "nondeterministic; its fingerprints are not reproducible\n";
   }
@@ -776,16 +776,17 @@ int cmd_compare(Flags& flags) {
                                 time_scale, data_plane, trace, faults,
                                 counters_ptr);
     } else {
-      summary = run_one(g, plan, policy, duration, warmup, seed, {}, trace,
-                        faults, counters_ptr);
+      summary = run_one(g, plan, policy, duration, warmup, seed, trace,
+                        faults, counters_ptr, &report);
     }
-    if (fingerprint && use_dist) {
+    if (print_fingerprints) {
       // One line per policy: `<policy> <fingerprint>`. CI diffs these
       // across transports and process counts — the distributed runtime's
       // work totals are partition-invariant, so they must be
-      // byte-identical. (work_fingerprint, not report_fingerprint: the
-      // global float aggregates merge per-worker Welford state, which is
-      // exact-in-value but not bit-associative across partitions.)
+      // byte-identical — and between builds of the simulator.
+      // (work_fingerprint, not report_fingerprint: the global float
+      // aggregates merge per-worker Welford state, which is exact-in-value
+      // but not bit-associative across partitions.)
       std::cout << to_string(policy) << ' '
                 << metrics::work_fingerprint(report) << '\n';
     }
@@ -809,7 +810,7 @@ int cmd_compare(Flags& flags) {
     std::cerr << "status endpoint lingering " << status_linger << " s\n";
     std::this_thread::sleep_for(std::chrono::duration<double>(status_linger));
   }
-  if (fingerprint && use_dist) return 0;  // fingerprints replace the table
+  if (print_fingerprints) return 0;  // fingerprints replace the table
   harness::print_table(table, csv, std::cout);
   return 0;
 }
@@ -1343,8 +1344,10 @@ int usage(std::ostream& os, int code) {
         "             never re-solves mid-run.\n"
         "             prockill fault clauses run only on the distributed\n"
         "             runtime. --fingerprint prints one `<policy> <hash>`\n"
-        "             line per policy instead of the table; identical\n"
-        "             across transports and process counts.\n"
+        "             line per policy instead of the table on the\n"
+        "             simulator and the distributed transports (not\n"
+        "             --runtime); identical across transports and\n"
+        "             process counts.\n"
         "             --trace writes one file per policy: F.<policy>.jsonl\n"
         "             (every engine; the distributed transports tag each\n"
         "             record with its shard). Data-plane knobs, see\n"
