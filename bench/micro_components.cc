@@ -36,31 +36,38 @@ void BM_EventQueueScheduleAndRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleAndRun)->Arg(1000)->Arg(10000);
 
-void BM_EventQueueHold(benchmark::State& state) {
-  // Hold model in the 200-PE simulation's delay mix: every event schedules
-  // one successor, so the pending population stays at range(0). Successor
-  // delays: same-node (0.2 ms) and cross-node (2 ms) deliveries, 0.1 s
-  // control ticks, exponential arrival and service gaps, and a few
-  // far-future completions of PEs left with a tiny CPU share.
+// Hold model in the 200-PE simulation's delay mix: every event schedules
+// one successor, so the pending population stays at range(0). Successor
+// delays: same-node (0.2 ms) and cross-node (2 ms) deliveries, 0.1 s
+// control ticks, exponential arrival and service gaps, and a few
+// far-future completions of PEs left with a tiny CPU share. With kLanes,
+// the three constant delays (half the events; 53% in the simulation) go
+// through the simulator's delay lanes, as the stream simulation sends
+// them, and the rest through the heap.
+template <bool kLanes>
+void event_queue_hold(benchmark::State& state) {
   struct Hold {
     sim::Simulator* sim;
     Rng rng;
+    sim::Simulator::Lane local;
+    sim::Simulator::Lane network;
+    sim::Simulator::Lane tick;
     void fire() {
-      const double u = rng.uniform();
-      double delay = 0.0;
-      if (u < 0.15) {
-        delay = 0.2e-3;
-      } else if (u < 0.40) {
-        delay = 2e-3;
-      } else if (u < 0.50) {
-        delay = 0.1;
-      } else if (u < 0.99) {
-        delay = rng.exponential(5e-3);
-      } else {
-        delay = rng.uniform(0.5, 5.0);
-      }
       Hold* self = this;
-      sim->schedule_in(delay, [self] { self->fire(); });
+      const auto next = [self] { self->fire(); };
+      const double u = rng.uniform();
+      if (u < 0.50) {
+        const double delay = u < 0.15 ? 0.2e-3 : u < 0.40 ? 2e-3 : 0.1;
+        if constexpr (kLanes) {
+          sim->schedule_on(u < 0.15 ? local : u < 0.40 ? network : tick, next);
+        } else {
+          sim->schedule_in(delay, next);
+        }
+      } else if (u < 0.99) {
+        sim->schedule_in(rng.exponential(5e-3), next);
+      } else {
+        sim->schedule_in(rng.uniform(0.5, 5.0), next);
+      }
     }
   };
   const auto population = static_cast<int>(state.range(0));
@@ -68,7 +75,12 @@ void BM_EventQueueHold(benchmark::State& state) {
   std::int64_t executed = 0;
   for (auto _ : state) {
     sim::Simulator simulator;
-    Hold hold{&simulator, Rng(9)};
+    Hold hold{&simulator, Rng(9), {}, {}, {}};
+    if constexpr (kLanes) {
+      hold.local = simulator.lane(0.2e-3);
+      hold.network = simulator.lane(2e-3);
+      hold.tick = simulator.lane(0.1);
+    }
     // The initial events take their delays from the same mix, so far-future
     // events are pending from the start, as in the simulation.
     for (int i = 0; i < population; ++i) hold.fire();
@@ -80,7 +92,16 @@ void BM_EventQueueHold(benchmark::State& state) {
   }
   state.SetItemsProcessed(executed);
 }
+
+void BM_EventQueueHold(benchmark::State& state) {
+  event_queue_hold<false>(state);
+}
 BENCHMARK(BM_EventQueueHold)->Arg(400);
+
+void BM_EventQueueLanes(benchmark::State& state) {
+  event_queue_hold<true>(state);
+}
+BENCHMARK(BM_EventQueueLanes)->Arg(400);
 
 void BM_FlowControllerUpdate(benchmark::State& state) {
   const auto gains = control::design_flow_gains(2, control::LqrWeights{});

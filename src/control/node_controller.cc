@@ -29,9 +29,14 @@ const char* to_string(CpuControlKind kind) {
   return "?";
 }
 
+FlowGains design_flow_gains(const ControllerConfig& config) {
+  return design_flow_gains(config.feedback_delay_ticks, config.lqr);
+}
+
 NodeController::NodeController(const graph::ProcessingGraph& graph,
                                NodeId node, const opt::AllocationPlan& plan,
-                               const ControllerConfig& config)
+                               const ControllerConfig& config,
+                               const FlowGains* gains)
     : graph_(&graph),
       node_(node),
       config_(config),
@@ -47,7 +52,15 @@ NodeController::NodeController(const graph::ProcessingGraph& graph,
                  "require 0 < threshold_low < threshold_high <= 1");
   ACES_CHECK_MSG(config.advert_staleness_timeout >= 0.0,
                  "negative advertisement staleness timeout");
-  gains_ = design_flow_gains(config.feedback_delay_ticks, config.lqr);
+  if (gains != nullptr) {
+    ACES_CHECK_MSG(gains->lambda.size() == 1 &&
+                       gains->mu.size() == static_cast<std::size_t>(
+                                               config.feedback_delay_ticks),
+                   "flow gains do not match the feedback delay");
+    gains_ = *gains;
+  } else {
+    gains_ = design_flow_gains(config);
+  }
   const auto& pes = graph.pes_on_node(node);
   states_.reserve(pes.size());
   for (PeId id : pes) states_.push_back(make_state(id, plan.at(id).cpu));

@@ -58,14 +58,21 @@ struct PeTickOutput {
   double advertised_rmax = std::numeric_limits<double>::infinity();
 };
 
+/// The Eq. 7 LQR gains for `config`'s feedback delay and weights. Every
+/// node of a run has the same config, so an engine designs them once and
+/// passes them to each NodeController.
+FlowGains design_flow_gains(const ControllerConfig& config);
+
 /// Tier-2 controller for one node. Construct once per node from the graph,
 /// the tier-1 plan, and a config; call tick() each control interval with one
 /// input per local PE, in pes_on_node() order.
 class NodeController {
  public:
+  /// `gains` must be design_flow_gains(config); null designs them here.
   NodeController(const graph::ProcessingGraph& graph, NodeId node,
                  const opt::AllocationPlan& plan,
-                 const ControllerConfig& config);
+                 const ControllerConfig& config,
+                 const FlowGains* gains = nullptr);
 
   /// Advances the controller by `dt` seconds. `inputs` must align with
   /// local_pes().
@@ -122,7 +129,7 @@ class NodeController {
   const graph::ProcessingGraph* graph_;
   NodeId node_;
   ControllerConfig config_;
-  FlowGains gains_;  // one LQR design per node; every PE shares the inputs
+  FlowGains gains_;  // Eq. 7 gains; every PE shares the inputs
   double capacity_;
   std::vector<PeState> states_;  // aligned with local_pes()
 };

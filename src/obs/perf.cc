@@ -29,7 +29,7 @@ constexpr const char* kEventNames[] = {
     "buffer_pool_hit",    "buffer_pool_miss", "channel_block",
     "channel_wakeup",     "ring_full_park",   "ring_empty_park",
     "ring_batch_publish", "ring_batch_sdos",  "ring_drain_burst",
-    "ring_drain_sdos",
+    "ring_drain_sdos",    "completion_superseded",
 };
 static_assert(sizeof(kEventNames) / sizeof(kEventNames[0]) ==
                   static_cast<std::size_t>(PerfEvent::kCount),

@@ -51,7 +51,7 @@ namespace aces::obs {
 
 /// Scoped-timing probe sites. Append only; names in perf.cc must match.
 enum class PerfStage : unsigned {
-  kCalendarInsert = 0,  ///< simulator event-set push (schedule_at())
+  kCalendarInsert = 0,  ///< simulator event-set push (heap or lane)
   kCalendarDrain,       ///< simulator event-set pop of the earliest event
   kControllerTick,      ///< one NodeController::tick()
   kOptimizerSolve,      ///< one tier-1 optimize() solve
@@ -73,6 +73,7 @@ enum class PerfEvent : unsigned {
   kRingBatchSdos,           ///< SDOs moved by try_push_n publishes
   kRingDrainBurst,          ///< one pop_burst index publish (any size)
   kRingDrainSdos,           ///< SDOs moved by pop_burst drains
+  kCompletionSuperseded,    ///< simulator completion popped as a no-op
   kCount,
 };
 

@@ -153,9 +153,11 @@ class WorkerEngine {
       pe.share = plan.at(id).cpu;
     }
 
+    const control::FlowGains gains =
+        control::design_flow_gains(controller_config_);
     for (std::size_t n = node_begin_; n < node_end_; ++n) {
       controllers_.emplace_back(graph_, NodeId(static_cast<NodeId::value_type>(n)),
-                                plan, controller_config_);
+                                plan, controller_config_, &gains);
     }
     was_down_.assign(node_end_ - node_begin_, false);
     was_stalled_.assign(graph_.pe_count(), false);

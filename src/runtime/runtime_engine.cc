@@ -191,9 +191,11 @@ class Engine {
       pes_.push_back(std::move(pe));
     }
 
+    const control::FlowGains gains =
+        control::design_flow_gains(options.controller);
     controllers_.reserve(g.node_count());
     for (NodeId n : g.all_nodes())
-      controllers_.emplace_back(g, n, plan, options.controller);
+      controllers_.emplace_back(g, n, plan, options.controller, &gains);
 
     sources_.reserve(streams.ingress.size());
     for (auto& [id, rng] : streams.ingress) {

@@ -64,6 +64,9 @@ struct StreamSimulation::Impl {
     /// For propagating this PE's advertisement: (upstream PE index, slot in
     /// that PE's downstream_advert).
     std::vector<std::pair<std::size_t, std::size_t>> upstream_slots;
+    /// Transport-latency lane of the link to each downstream PE, aligned
+    /// with graph.downstream(id). Advertisements travel the same link back.
+    std::vector<Simulator::Lane> downstream_lane;
 
     PeRt(PeId pe_id, std::size_t buffer_capacity, workload::ServiceModel svc)
         : id(pe_id),
@@ -104,18 +107,24 @@ struct StreamSimulation::Impl {
       if (d.kind == graph::PeKind::kEgress) rt.egress_index = egress_counter++;
       pes.push_back(std::move(rt));
     }
-    // Upstream advertisement slots.
+    // Upstream advertisement slots, and the delay lane of every link.
+    tick_lane = simulator.lane(opt.dt);
     for (PeId id : graph.all_pes()) {
       const auto& downs = graph.downstream(id);
       for (std::size_t slot = 0; slot < downs.size(); ++slot) {
-        pes[downs[slot].value()].upstream_slots.emplace_back(id.value(), slot);
+        const std::size_t target = downs[slot].value();
+        pes[id.value()].downstream_lane.push_back(
+            simulator.lane(transport_latency(id.value(), target)));
+        pes[target].upstream_slots.emplace_back(id.value(), slot);
       }
     }
 
-    // Node controllers (bound to the private graph copy).
+    // Node controllers (bound to the private graph copy), sharing one LQR
+    // design.
+    const control::FlowGains gains = control::design_flow_gains(opt.controller);
     controllers.reserve(graph.node_count());
     for (NodeId n : graph.all_nodes())
-      controllers.emplace_back(graph, n, plan, opt.controller);
+      controllers.emplace_back(graph, n, plan, opt.controller, &gains);
 
     // Sources (optionally through the user-supplied arrival factory).
     sources.reserve(streams.ingress.size());
@@ -382,7 +391,10 @@ struct StreamSimulation::Impl {
 
   void on_completion(std::size_t index, std::uint64_t epoch) {
     PeRt& pe = pes[index];
-    if (epoch != pe.epoch || !pe.busy) return;  // superseded by a tick
+    if (epoch != pe.epoch || !pe.busy) {  // superseded by a tick
+      ACES_PERF_COUNT(PerfEvent::kCompletionSuperseded);
+      return;
+    }
     progress(pe);
     if (pe.work_remaining > kernel::kWorkEps) {  // finish the drift residue
       schedule_completion(pe);
@@ -407,8 +419,7 @@ struct StreamSimulation::Impl {
       PeRt& t = pes[target];
       if (has_space_for_send(t)) {
         ++t.reserved;
-        const Seconds latency = transport_latency(pe.index, target);
-        simulator.schedule_in(latency, [this, target, sdo] {
+        simulator.schedule_on(pe.downstream_lane[slot], [this, target, sdo] {
           deliver_reserved(target, sdo);
         });
       } else {
@@ -418,8 +429,7 @@ struct StreamSimulation::Impl {
       return;
     }
     // ACES / UDP: fire and (maybe) forget — drop resolves at delivery time.
-    const Seconds latency = transport_latency(pe.index, target);
-    simulator.schedule_in(latency,
+    simulator.schedule_on(pe.downstream_lane[slot],
                           [this, target, sdo] { deliver(target, sdo); });
   }
 
@@ -489,8 +499,7 @@ struct StreamSimulation::Impl {
       PeRt& t = pes[target];
       if (!has_space_for_send(t)) return;  // still blocked
       ++t.reserved;
-      const Seconds latency = transport_latency(pe.index, target);
-      simulator.schedule_in(latency, [this, target, sdo] {
+      simulator.schedule_on(pe.downstream_lane[slot], [this, target, sdo] {
         deliver_reserved(target, sdo);
       });
       pe.pending.pop_front();
@@ -564,7 +573,7 @@ struct StreamSimulation::Impl {
             apply_tick(pes[local[i].value()], out, now);
           });
     }
-    simulator.schedule_in(options.dt,
+    simulator.schedule_on(tick_lane,
                           [this, node_index] { node_tick(node_index); });
   }
 
@@ -597,12 +606,16 @@ struct StreamSimulation::Impl {
       extra_latency = injector->advert_delay(pe.id, now);
     }
     for (const auto& [up_index, slot] : pe.upstream_slots) {
-      const Seconds latency =
-          transport_latency(pe.index, up_index) + extra_latency;
-      simulator.schedule_in(latency, [this, up_index, slot, rmax] {
+      const auto land = [this, up_index, slot, rmax] {
         pes[up_index].downstream_advert[slot] = rmax;
         pes[up_index].downstream_advert_time[slot] = simulator.now();
-      });
+      };
+      if (extra_latency > 0.0) {
+        simulator.schedule_in(
+            transport_latency(pe.index, up_index) + extra_latency, land);
+      } else {
+        simulator.schedule_on(pes[up_index].downstream_lane[slot], land);
+      }
     }
   }
 
@@ -628,6 +641,8 @@ struct StreamSimulation::Impl {
   /// Crash-window nesting depth per node; sized only when faults are active.
   std::vector<int> node_down;
   kernel::TickEnv tick_env;
+  /// Delay lane of node-tick re-arms (SimOptions::dt).
+  Simulator::Lane tick_lane;
 };
 
 StreamSimulation::StreamSimulation(const graph::ProcessingGraph& graph,

@@ -304,5 +304,46 @@ TEST(NodeControllerTest, ResetStateMatchesFreshControllerTickForTick) {
   }
 }
 
+TEST(NodeControllerTest, SharedGainsTickLikeOwnDesign) {
+  // Engines design the LQR gains once per run and hand them to every
+  // controller; that must not change a single decision.
+  Fixture f;
+  ControllerConfig config;
+  config.policy = FlowPolicy::kAces;
+  config.feedback_delay_ticks = 2;
+  const opt::AllocationPlan plan = f.plan(0.3, 0.4);
+  const FlowGains gains = design_flow_gains(config);
+  NodeController shared(f.g, f.node0, plan, config, &gains);
+  NodeController own(f.g, f.node0, plan, config);
+  for (int tick = 0; tick < 200; ++tick) {
+    std::vector<PeTickInput> in(2);
+    for (std::size_t pe = 0; pe < in.size(); ++pe) {
+      in[pe].buffer_occupancy = 25.0 + 20.0 * std::sin(0.37 * tick + pe);
+      in[pe].arrived_sdos = 2.0 + std::fmod(0.7 * tick, 3.0);
+      in[pe].processed_sdos = 1.5 + std::fmod(0.3 * tick + pe, 2.0);
+      in[pe].cpu_seconds_used = 0.01 * in[pe].processed_sdos;
+      in[pe].downstream_rmax = 10.0 + 5.0 * std::cos(0.11 * tick);
+    }
+    const auto a = shared.tick(0.1, in);
+    const auto b = own.tick(0.1, in);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].cpu_share, b[i].cpu_share) << "tick " << tick;
+      ASSERT_EQ(a[i].advertised_rmax, b[i].advertised_rmax) << "tick " << tick;
+    }
+  }
+}
+
+TEST(NodeControllerTest, RejectsGainsForAnotherFeedbackDelay) {
+  Fixture f;
+  ControllerConfig config;
+  config.feedback_delay_ticks = 2;
+  ControllerConfig other = config;
+  other.feedback_delay_ticks = 1;
+  const FlowGains gains = design_flow_gains(other);
+  EXPECT_THROW(NodeController(f.g, f.node0, f.plan(0.3, 0.3), config, &gains),
+               CheckFailure);
+}
+
 }  // namespace
 }  // namespace aces::control

@@ -14,6 +14,11 @@
 #include <thread>
 #include <vector>
 
+#include "graph/topology_generator.h"
+#include "opt/global_optimizer.h"
+#include "sim/simulator.h"
+#include "sim/stream_simulation.h"
+
 namespace aces::obs {
 namespace {
 
@@ -103,6 +108,63 @@ TEST(PerfSnapshot, CountsFromSeveralThreadsSum) {
     if (name == perf_event_name(PerfEvent::kChannelWakeup)) total = count;
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * kPerThread);
+  perf_reset();
+}
+
+std::uint64_t stage_calls(const PerfSnapshot& snapshot, PerfStage stage) {
+  for (const PerfStageSample& sample : snapshot.stages) {
+    if (sample.name == perf_stage_name(stage)) return sample.calls;
+  }
+  return 0;
+}
+
+std::uint64_t event_count(const PerfSnapshot& snapshot, PerfEvent event) {
+  for (const auto& [name, count] : snapshot.events) {
+    if (name == perf_event_name(event)) return count;
+  }
+  return 0;
+}
+
+TEST(PerfSnapshot, EventSetStagesTimeHeapAndLanes) {
+  if (!perf_instrumented()) GTEST_SKIP() << "uninstrumented build";
+  perf_reset();
+  sim::Simulator simulator;
+  const sim::Simulator::Lane lane = simulator.lane(0.5);
+  simulator.schedule_on(lane, [] {});
+  simulator.schedule_on(lane, [] {});
+  simulator.schedule_in(0.25, [] {});
+  simulator.run_all();
+  const PerfSnapshot snapshot = perf_snapshot();
+  EXPECT_EQ(stage_calls(snapshot, PerfStage::kCalendarInsert), 3u);
+  // One call per pop, plus run_all()'s last look, which finds nothing.
+  EXPECT_EQ(stage_calls(snapshot, PerfStage::kCalendarDrain), 4u);
+  perf_reset();
+}
+
+TEST(PerfSnapshot, SupersededCompletionsAreCountedNotRemoved) {
+  if (!perf_instrumented()) GTEST_SKIP() << "uninstrumented build";
+  graph::TopologyParams params;
+  params.num_nodes = 3;
+  params.num_ingress = 3;
+  params.num_intermediate = 6;
+  params.num_egress = 3;
+  const auto g = graph::generate_topology(params, 4);
+  const auto plan = opt::optimize(g);
+  sim::SimOptions options;
+  options.duration = 20.0;
+  options.warmup = 5.0;
+  options.controller.policy = control::FlowPolicy::kAces;
+  perf_reset();
+  const metrics::RunReport report = sim::simulate(g, plan, options);
+  const PerfSnapshot snapshot = perf_snapshot();
+  // ACES ticks re-time busy PEs, leaving no-op completions behind; they
+  // still count as executed events.
+  const std::uint64_t superseded =
+      event_count(snapshot, PerfEvent::kCompletionSuperseded);
+  EXPECT_GT(superseded, 0u);
+  EXPECT_LT(superseded, report.events_executed);
+  EXPECT_EQ(stage_calls(snapshot, PerfStage::kCalendarDrain),
+            report.events_executed + 1);
   perf_reset();
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -220,6 +221,12 @@ class ReferenceSimulator {
   void schedule_at(Seconds t, std::function<void()> fn) {
     events_.push_back(Event{t, next_seq_++, std::move(fn)});
   }
+  /// A lane is just its delay here.
+  Seconds lane(Seconds delay) { return delay; }
+  void schedule_on(Seconds delay, std::function<void()> fn) {
+    schedule_in(delay, std::move(fn));
+  }
+  [[nodiscard]] std::size_t pending() const { return events_.size(); }
   void run_until(Seconds end) {
     while (!events_.empty()) {
       const auto it = earliest();
@@ -335,6 +342,155 @@ TEST(SimulatorTest, MatchesReferenceOrderOnSimulationDelayMix) {
     EXPECT_EQ(sim.executed(), got.size());
     EXPECT_EQ(sim.pending(), 0u);
   }
+}
+
+/// Like drive(), but most constant delays go through delay lanes: a
+/// zero-delay lane, a link lane with a second handle to it (equal delay),
+/// and a tick lane; the same link delay also goes to the heap, so lane and
+/// heap events tie in time. A ticker on the tick lane lands exactly on
+/// every run_until() slice end. Returns the executed (time, id) sequence;
+/// `pending` gets the pending count after each slice.
+template <typename Sim>
+std::vector<std::pair<double, int>> drive_lanes(
+    Sim& sim, std::uint64_t seed, std::vector<std::size_t>& pending) {
+  constexpr int kEvents = 6000;
+  constexpr double kTick = 0.01;
+  constexpr int kTicksPerSlice = 25;
+  constexpr int kSlices = 8;
+  const auto zero = sim.lane(0.0);
+  const auto link = sim.lane(0.5e-3);
+  const auto tick = sim.lane(kTick);
+  const auto link_again = sim.lane(0.5e-3);
+  std::vector<std::pair<double, int>> out;
+  int next_id = 0;
+  std::function<void(int)> schedule_children;
+  const auto event = [&sim, &out, &schedule_children](int id) {
+    return [&sim, &out, &schedule_children, id] {
+      out.emplace_back(sim.now(), id);
+      schedule_children(id);
+    };
+  };
+  schedule_children = [&](int id) {
+    std::uint64_t h = mix64(seed ^ static_cast<std::uint64_t>(id));
+    const int children = (h & 3) == 0 ? 2 : 1;
+    for (int c = 0; c < children && next_id < kEvents; ++c) {
+      h = mix64(h);
+      const auto run = event(next_id++);
+      switch ((h >> 8) % 8) {
+        case 0: sim.schedule_on(zero, run); break;
+        case 1: sim.schedule_on(link, run); break;
+        case 2: sim.schedule_on(link_again, run); break;
+        case 3: sim.schedule_in(0.5e-3, run); break;  // ties the link lane
+        case 4: sim.schedule_on(tick, run); break;
+        case 5:  // exact tie: the next tick boundary
+          sim.schedule_at((std::floor(sim.now() / kTick) + 1.0) * kTick, run);
+          break;
+        case 6:
+          sim.schedule_in(-std::log1p(-unit(mix64(h))) * 75e-6, run);
+          break;
+        default: sim.schedule_in(5.0 + 50.0 * unit(mix64(h)), run); break;
+      }
+    }
+  };
+  // The ticker's times are 0 + kTick + kTick + ..., summed like the slice
+  // ends below, so each slice ends exactly on a ticker event.
+  int ticks = 0;
+  std::function<void()> ticker = [&] {
+    out.emplace_back(sim.now(), -1);
+    if (++ticks < kTicksPerSlice * kSlices) sim.schedule_on(tick, ticker);
+  };
+  sim.schedule_on(tick, ticker);
+  for (int i = 0; i < 300; ++i) {
+    sim.schedule_at(0.001 * (i % 37), event(next_id++));
+  }
+  double end = 0.0;
+  for (int slice = 0; slice < kSlices; ++slice) {
+    for (int k = 0; k < kTicksPerSlice; ++k) end += kTick;
+    sim.run_until(end);
+    pending.push_back(sim.pending());
+  }
+  sim.run_all();
+  pending.push_back(sim.pending());
+  return out;
+}
+
+TEST(SimulatorTest, LanesAndHeapMatchReferenceOrder) {
+  for (const std::uint64_t seed : {1u, 9u, 77u}) {
+    Simulator sim;
+    ReferenceSimulator reference;
+    std::vector<std::size_t> got_pending;
+    std::vector<std::size_t> want_pending;
+    const auto got = drive_lanes(sim, seed, got_pending);
+    const auto want = drive_lanes(reference, seed, want_pending);
+    ASSERT_EQ(got.size(), 6000u + 200u) << "seed " << seed;
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " event " << i;
+    }
+    EXPECT_EQ(got_pending, want_pending) << "seed " << seed;
+    EXPECT_EQ(sim.executed(), got.size());
+    EXPECT_EQ(sim.pending(), 0u);
+  }
+}
+
+TEST(SimulatorTest, LanesAreDeduplicatedByDelay) {
+  Simulator sim;
+  const Simulator::Lane a = sim.lane(2e-3);
+  const Simulator::Lane b = sim.lane(0.1);
+  EXPECT_EQ(sim.lane(2e-3).index, a.index);
+  EXPECT_EQ(sim.lane(0.1).index, b.index);
+  EXPECT_NE(a.index, b.index);
+}
+
+TEST(SimulatorTest, PendingCountsLaneEvents) {
+  Simulator sim;
+  const Simulator::Lane lane = sim.lane(1.0);
+  sim.schedule_on(lane, [] {});
+  sim.schedule_on(lane, [] {});
+  sim.schedule_in(3.0, [] {});
+  EXPECT_EQ(sim.pending(), 3u);
+  sim.run_until(1.0);
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_all();
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.executed(), 3u);
+}
+
+TEST(SimulatorTest, LaneRejectsNegativeAndNonFiniteDelays) {
+  Simulator sim;
+  EXPECT_THROW(sim.lane(-1e-9), CheckFailure);
+  EXPECT_THROW(sim.lane(std::numeric_limits<double>::infinity()),
+               CheckFailure);
+  EXPECT_THROW(sim.lane(std::numeric_limits<double>::quiet_NaN()),
+               CheckFailure);
+  EXPECT_NO_THROW(sim.lane(0.0));
+}
+
+TEST(SimulatorTest, HandlerGrowingItsOwnFullLaneKeepsItsCaptures) {
+  Simulator sim;
+  const Simulator::Lane lane = sim.lane(1.0);
+  std::vector<std::uint64_t> seen;
+  const std::array<std::uint64_t, 5> payload{11, 22, 33, 44, 55};
+  // 32 events fill the lane's ring exactly. The first one, while it runs,
+  // refills the slot it was popped from and then grows the ring many times
+  // over; its captures (the full 64-byte handler capacity) must survive.
+  constexpr std::uint64_t kQueued = 31;
+  constexpr std::uint64_t kPushed = 1000;
+  sim.schedule_on(lane, [&sim, &seen, lane, payload] {
+    for (std::uint64_t i = 0; i < kPushed; ++i) {
+      sim.schedule_on(lane, [&seen, i] { seen.push_back(1000 + i); });
+    }
+    for (const std::uint64_t v : payload) seen.push_back(v);
+  });
+  for (std::uint64_t i = 0; i < kQueued; ++i) {
+    sim.schedule_on(lane, [&seen, i] { seen.push_back(100 + i); });
+  }
+  sim.run_all();
+  std::vector<std::uint64_t> want(payload.begin(), payload.end());
+  for (std::uint64_t i = 0; i < kQueued; ++i) want.push_back(100 + i);
+  for (std::uint64_t i = 0; i < kPushed; ++i) want.push_back(1000 + i);
+  EXPECT_EQ(seen, want);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
 TEST(SimulatorTest, HandlerReusingItsOwnSlotKeepsItsCaptures) {
