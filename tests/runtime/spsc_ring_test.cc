@@ -368,7 +368,11 @@ TEST(SpscRingTest, SimVsRuntimeDifferentialWithBatchingOn) {
     runtime::RuntimeOptions ro;
     ro.duration = 12.0;
     ro.warmup = 3.0;
-    ro.time_scale = 8.0;
+    // Wall headroom: a node thread that wakes more than one control
+    // interval late re-homes its tick grid and loses that interval's CPU
+    // budget. At 8x, a loaded host starved the ticks enough to miss the
+    // bound; at 4x each interval lasts 25 ms of wall time.
+    ro.time_scale = 4.0;
     ro.seed = seed + 1000;
     ro.batch = batch;
     const metrics::RunReport report = runtime::run_runtime(g, plan, ro);
